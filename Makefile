@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench-smoke bench-json bench-compare bench-trend check golden golden-record scenario scenarios
+.PHONY: all build test race vet check golden golden-record scenario scenarios
 
 all: build
 
@@ -17,31 +17,6 @@ race:
 
 vet:
 	$(GO) vet ./...
-
-# One fast pass over the paper benches and the concurrent-groups
-# microbenchmark: enough iterations to catch regressions in the dataplane
-# allocation counts without rerunning the full figure sweeps.
-bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkConcurrentGroups|BenchmarkBinomialPlanGeneration|BenchmarkSimulatedMulticast' -benchtime 10x -count 1 .
-
-# Machine-readable send-window numbers: standard testing-package benchmark
-# output (benchstat-compatible Output lines) wrapped in test2json events.
-bench-json:
-	$(GO) test -run xxx -bench 'BenchmarkSendWindow|BenchmarkConcurrentGroups|BenchmarkNodePlan|BenchmarkTenantThrottle' -benchtime 5x -count 1 -json . > BENCH_sendwindow.json
-
-# Rerun the send-window sweep and diff it against the committed baseline.
-# Report-only: the table flags regressions, it does not fail the build
-# (pass BENCHCMP_FLAGS='-fail-over 30' to make it gate).
-bench-compare:
-	$(GO) test -run xxx -bench 'BenchmarkSendWindow|BenchmarkTenantThrottle' -benchtime 5x -count 1 . | tee bench_new.txt
-	$(GO) run ./cmd/benchcmp -old BENCH_sendwindow.json -new bench_new.txt -filter 'BenchmarkSendWindow|BenchmarkTenantThrottle' \
-		-json bench_delta.json -trajectory BENCH_trajectory.json -label "$$(git rev-parse --short HEAD 2>/dev/null || echo local)" \
-		$(BENCHCMP_FLAGS) | tee bench_compare.txt
-	$(GO) run ./cmd/benchcmp -trend -trajectory BENCH_trajectory.json -out bench_trend.md
-
-# Render the committed benchmark trajectory as a markdown trend table.
-bench-trend:
-	$(GO) run ./cmd/benchcmp -trend -trajectory BENCH_trajectory.json -out bench_trend.md
 
 # Golden regression gate: regenerate the pinned quick-scale datasets in
 # memory and fail on any divergence. `make golden-record` refreshes the

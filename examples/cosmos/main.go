@@ -2,9 +2,10 @@
 // workload of the paper's Figure 9 (3 random replicas out of 15, log-normal
 // object sizes with median 12 MB and mean 29 MB) on a simulated 100 Gb/s
 // cluster, and prints the latency distribution under each multicast
-// algorithm. Because the cluster is simulated, the study runs in virtual
-// time: replaying hundreds of multi-megabyte writes takes seconds of wall
-// time.
+// algorithm. The writes are the canned scenario.Cosmos() config compiled
+// with the chosen seed and length. Because the cluster is simulated, the
+// study runs in virtual time: replaying hundreds of multi-megabyte writes
+// takes seconds of wall time.
 //
 // Run with:
 //
@@ -20,7 +21,7 @@ import (
 	"time"
 
 	"rdmc"
-	"rdmc/internal/trace"
+	"rdmc/internal/scenario"
 )
 
 func main() {
@@ -34,11 +35,18 @@ func main() {
 }
 
 func run(writes int, seed int64) error {
+	cfg := scenario.Cosmos()
+	cfg.Seed, cfg.Writes = seed, writes
+	stream, err := scenario.Compile(cfg)
+	if err != nil {
+		return err
+	}
 	algos := []rdmc.Algorithm{rdmc.SequentialSend, rdmc.BinomialTree, rdmc.BinomialPipeline}
-	fmt.Printf("replaying %d Cosmos-calibrated writes (3 replicas from a 15-node pool)\n\n", writes)
+	fmt.Printf("replaying %d Cosmos-calibrated writes (%d replicas from a %d-node pool)\n\n",
+		writes, cfg.Groups.K, cfg.Groups.N)
 	fmt.Printf("%-20s  %8s  %8s  %8s  %10s\n", "algorithm", "p50 ms", "p90 ms", "p99 ms", "agg Gb/s")
 	for _, a := range algos {
-		lat, bytes, elapsed, err := replay(a, writes, seed)
+		lat, bytes, elapsed, err := replay(a, stream)
 		if err != nil {
 			return err
 		}
@@ -55,14 +63,22 @@ func run(writes int, seed int64) error {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 
-// replay issues the writes through overlapping 4-member groups (generator +
-// 3 replicas), up to 4 outstanding at a time.
-func replay(algo rdmc.Algorithm, writes int, seed int64) ([]time.Duration, int64, time.Duration, error) {
-	gen, err := trace.NewCosmos(trace.CosmosConfig{}, seed)
-	if err != nil {
-		return nil, 0, 0, err
+// groupIndex maps a drawn member list (the fixed root, then pool members
+// offset by Base) to its position in the EnumerateGroups order.
+func groupIndex(g scenario.GroupConfig, members []int) int {
+	pool := make([]int, 0, g.K)
+	for _, m := range members[len(g.Root):] {
+		pool = append(pool, m-g.Base)
 	}
-	cluster, err := rdmc.NewSimCluster(rdmc.SimConfig{Nodes: 16, Seed: seed})
+	return scenario.CombinationRank(pool, g.N)
+}
+
+// replay issues the stream's writes through overlapping 4-member groups
+// (generator + 3 replicas), up to the stream's concurrency outstanding at a
+// time.
+func replay(algo rdmc.Algorithm, stream *scenario.Stream) ([]time.Duration, int64, time.Duration, error) {
+	cfg := stream.Config
+	cluster, err := rdmc.NewSimCluster(rdmc.SimConfig{Nodes: cfg.Nodes, Seed: cfg.Seed})
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -84,12 +100,9 @@ func replay(algo rdmc.Algorithm, writes int, seed int64) ([]time.Duration, int64
 	seqOf := make(map[int]int)
 
 	// Pre-create all 455 groups, off the critical path as in the paper.
-	for gi, set := range gen.Groups() {
+	all := scenario.EnumerateGroups(cfg.Groups, scenario.Binomial(cfg.Groups.N, cfg.Groups.K))
+	for gi, members := range all {
 		gi := gi
-		members := []int{0}
-		for _, m := range set {
-			members = append(members, m+1)
-		}
 		for _, m := range members {
 			g, err := cluster.Node(m).CreateGroup(gi+1, members, rdmc.GroupConfig{
 				BlockSize: 1 << 20,
@@ -118,25 +131,25 @@ func replay(algo rdmc.Algorithm, writes int, seed int64) ([]time.Duration, int64
 	}
 
 	issue = func() {
-		if issued >= writes {
+		if issued >= len(stream.Events) {
 			return
 		}
-		w := gen.Next()
-		gi := gen.GroupIndex(w.Group)
+		ev := stream.Events[issued]
+		gi := groupIndex(cfg.Groups, ev.Group)
 		issued++
 		seq := seqOf[gi]
 		seqOf[gi] = seq + 1
-		pending[key(gi, seq)] = &rec{issued: cluster.Now(), remaining: 4, size: w.Size}
-		if err := roots[gi].SendSized(w.Size); err != nil {
+		pending[key(gi, seq)] = &rec{issued: cluster.Now(), remaining: len(ev.Group), size: ev.Size}
+		if err := roots[gi].SendSized(ev.Size); err != nil {
 			panic(err)
 		}
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stream.Concurrency(); i++ {
 		issue()
 	}
 	elapsed := cluster.Run()
-	if len(latencies) != writes {
-		return nil, 0, 0, fmt.Errorf("completed %d of %d writes", len(latencies), writes)
+	if len(latencies) != len(stream.Events) {
+		return nil, 0, 0, fmt.Errorf("completed %d of %d writes", len(latencies), len(stream.Events))
 	}
 	return latencies, bytes, elapsed, nil
 }

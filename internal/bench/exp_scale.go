@@ -51,9 +51,8 @@ func Fig8Scalability(scale Scale) Report {
 // Cosmos-calibrated replication workload (3 random replicas out of 15,
 // log-normal sizes) replayed with sequential send, binomial tree, and
 // binomial pipeline, plus the aggregate replication throughput. The
-// workload is the canned scenario.Cosmos config — seed-for-seed identical
-// to the legacy trace generator — compiled once and replayed per
-// algorithm.
+// workload is the canned scenario.Cosmos config, compiled once and
+// replayed per algorithm.
 func Fig9Cosmos(scale Scale) Report {
 	cfg := scenario.Cosmos()
 	cfg.Writes = scaledWrites(cfg, scale)

@@ -188,9 +188,3 @@ const (
 	mib = 1 << 20
 	kib = 1 << 10
 )
-
-// MulticastOnceForBench exposes a single simulated multicast on the Fractus
-// model to the repository's micro-benchmarks.
-func MulticastOnceForBench(nodes, size, blockSize int) float64 {
-	return multicastOnce(Fractus(nodes), schedule.New(schedule.BinomialPipeline), size, blockSize)
-}

@@ -128,14 +128,6 @@ func CrashRoot(n int, seed int64) Scenario {
 	return mustFromConfig(scenario.FailoverCrashRoot(n, seed))
 }
 
-// Partition cuts the last rack (a quarter of the cluster) off at 50% of
-// the transfer and heals the links one baseline-runtime later. The healed
-// links admit fresh connections, but the wedged minority stays parked on
-// its epoch-1 prefix — the documented no-rejoin limitation.
-func Partition(n int, seed int64) Scenario {
-	return mustFromConfig(scenario.FailoverPartition(n, seed))
-}
-
 // Scenarios returns the standard suite for one cluster size.
 func Scenarios(n int, seed int64) []Scenario {
 	suite := scenario.FailoverSuite(n, seed)

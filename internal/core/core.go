@@ -255,20 +255,6 @@ func (e *Engine) AddFailureObserver(fn func(rdma.NodeID)) (remove func()) {
 	}
 }
 
-// SetFailureObserver replaces every subscription with the single callback fn
-// (nil clears the list) — the pre-multi-tenancy interface, kept for callers
-// that own the whole engine.
-func (e *Engine) SetFailureObserver(fn func(rdma.NodeID)) {
-	e.failMu.Lock()
-	defer e.failMu.Unlock()
-	if fn == nil {
-		e.failObs.Store(nil)
-		return
-	}
-	list := []*failureObserver{{fn: fn}}
-	e.failObs.Store(&list)
-}
-
 func appendObservers(cur *[]*failureObserver, ob *failureObserver) *[]*failureObserver {
 	var next []*failureObserver
 	if cur != nil {

@@ -426,16 +426,6 @@ func (g *Group) CloseConnections() {
 	g.qps = make(map[int]rdma.QueuePair)
 }
 
-// OpenConnections reports the group's live queue pairs — zero once
-// CloseConnections has run. Teardown-leak checks assert on it: a group that
-// left the engine's routing table but still holds queue pairs is dataplane
-// state leaked per Storm's scaling lesson.
-func (g *Group) OpenConnections() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.qps)
-}
-
 // rankOf returns the rank of a node, or -1.
 func (g *Group) rankOf(node rdma.NodeID) int {
 	for i, m := range g.members {

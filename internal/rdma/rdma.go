@@ -14,13 +14,16 @@
 //     one to tell the sender they are ready; the small-message extension
 //     builds its ring buffers from them);
 //   - break-on-failure semantics: when a connection is lost, outstanding and
-//     future work requests complete with StatusBroken — there is no software
-//     retransmission.
+//     future work requests complete with StatusBroken; a provider itself
+//     never retransmits.
 //
-// Two providers implement the interface: simnic (virtual-time simulation over
-// package simnet, substituting for the RDMA hardware this reproduction does
-// not have) and tcpnic (real TCP sockets — the paper's §5.3 "RDMC on TCP"
-// direction, made concrete).
+// Three providers implement the interface: simnic (virtual-time simulation
+// over package simnet, substituting for the RDMA hardware this reproduction
+// does not have), tcpnic (real TCP sockets — the paper's §5.3 "RDMC on TCP"
+// direction, made concrete) and shmnic (in-process memory copies between
+// co-located ranks, standalone or co-hosted inside tcpnic). Package reliab
+// wraps any of them with software selective retransmit and FEC for fabrics
+// that drop frames, keeping this contract for its callers.
 package rdma
 
 import "errors"

@@ -68,26 +68,6 @@ func NewExchange() *Exchange {
 	return &Exchange{hosts: make(map[rdma.NodeID]Host)}
 }
 
-var (
-	domainsMu sync.Mutex
-	domains   = make(map[string]*Exchange)
-)
-
-// DomainExchange returns the process-wide Exchange registered under name,
-// creating it on first use. Distinct names are fully isolated; clusters that
-// must not see each other (parallel tests, multiple local clusters) pick
-// distinct names.
-func DomainExchange(name string) *Exchange {
-	domainsMu.Lock()
-	defer domainsMu.Unlock()
-	ex := domains[name]
-	if ex == nil {
-		ex = NewExchange()
-		domains[name] = ex
-	}
-	return ex
-}
-
 // Register adds a host to the domain. Co-located hosts must all register
 // before any of them connects, so both sides of a pair agree the peer is
 // intra-host.

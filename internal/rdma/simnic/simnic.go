@@ -33,7 +33,6 @@ type Network struct {
 	cluster    *simnet.Cluster
 	rendezvous *nicbase.Rendezvous[*queuePair]
 	providers  map[rdma.NodeID]*Provider
-	qpWindow   int
 	tolerant   bool
 }
 
@@ -43,18 +42,7 @@ func NewNetwork(cluster *simnet.Cluster) *Network {
 		cluster:    cluster,
 		rendezvous: nicbase.NewRendezvous[*queuePair](),
 		providers:  make(map[rdma.NodeID]*Provider),
-		qpWindow:   defaultQPWindow,
 	}
-}
-
-// SetQPWindow overrides how many work requests each queue pair executes
-// concurrently (1 restores the strictly serial pre-window behavior). It
-// affects queue pairs created after the call.
-func (n *Network) SetQPWindow(w int) {
-	if w < 1 {
-		w = 1
-	}
-	n.qpWindow = w
 }
 
 // SetTolerant flips queue pairs created after the call into loss-tolerant
@@ -119,7 +107,7 @@ func (p *Provider) Connect(peer rdma.NodeID, token uint64) (rdma.QueuePair, erro
 	if int(peer) < 0 || int(peer) >= p.net.cluster.Config().Nodes {
 		return nil, fmt.Errorf("simnic: peer %d outside cluster of %d nodes", peer, p.net.cluster.Config().Nodes)
 	}
-	qp := &queuePair{local: p, peer: peer, token: token, window: p.net.qpWindow, tolerant: p.net.tolerant}
+	qp := &queuePair{local: p, peer: peer, token: token, tolerant: p.net.tolerant}
 	if err := p.AddQP(nicbase.QPKey{Peer: peer, Token: token}, qp); err != nil {
 		return nil, err
 	}
@@ -184,15 +172,14 @@ type sendEntry struct {
 	lost bool
 }
 
-// queuePair is one simulated RC endpoint. Up to window work requests execute
-// concurrently as overlapping fabric flows (the NIC keeping its pipe full),
-// while completions and arrivals are delivered strictly in post order;
-// receives match arrivals in order.
+// queuePair is one simulated RC endpoint. Up to defaultQPWindow work
+// requests execute concurrently as overlapping fabric flows (the NIC keeping
+// its pipe full), while completions and arrivals are delivered strictly in
+// post order; receives match arrivals in order.
 type queuePair struct {
 	local    *Provider
 	peer     rdma.NodeID
 	token    uint64
-	window   int
 	tolerant bool
 	remote   *queuePair
 	pending  []sendWR     // posted, not yet launched
@@ -280,7 +267,7 @@ func (q *queuePair) maybeStart() {
 	if q.broken || q.remote == nil {
 		return
 	}
-	for len(q.flight) < q.window && len(q.pending) > 0 {
+	for len(q.flight) < defaultQPWindow && len(q.pending) > 0 {
 		wr := q.pending[0]
 		q.pending = q.pending[1:]
 		e := &sendEntry{wr: wr}

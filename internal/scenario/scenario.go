@@ -12,8 +12,9 @@
 // the chaos harness consumes the failure schedule, and the golden harness
 // pins both the stream and the resulting experiment rows.
 //
-// The legacy trace.Cosmos generator is one canned Config (see Cosmos); its
-// samplers live here so the equivalence is by construction, not by luck.
+// The paper's Figure 9 workload, a replay of a proprietary Cosmos trace, is
+// one canned Config calibrated to the trace's published statistics (see
+// Cosmos).
 package scenario
 
 import (

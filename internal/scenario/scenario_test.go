@@ -123,6 +123,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad arrival", func(c *Config) { c.Arrival.Kind = "warp" }},
 		{"poisson without rate", func(c *Config) { c.Arrival = Arrival{Kind: ArrivalPoisson} }},
 		{"bad size kind", func(c *Config) { c.Sizes.Kind = "gaussian" }},
+		{"lognormal mean below median", func(c *Config) { c.Sizes.MeanBytes = c.Sizes.MedianBytes / 2 }},
 		{"bad group kind", func(c *Config) { c.Groups.Kind = "mesh" }},
 		{"kofn pool outside cluster", func(c *Config) { c.Groups.N = 16 }},
 		{"roster outside cluster", func(c *Config) {
@@ -397,14 +398,18 @@ func TestBinomialAndRank(t *testing.T) {
 			t.Errorf("Binomial(%d,%d) = %d, want %d", tc.n, tc.k, got, tc.want)
 		}
 	}
-	// Rank must invert enumeration for a non-trivial case.
-	for i, g := range EnumerateGroups(GroupConfig{Kind: GroupKofN, K: 4, N: 9}, 1000) {
-		if got := CombinationRank(g, 9); got != i {
-			t.Fatalf("rank(%v) = %d, want %d", g, got, i)
+	for _, bad := range []struct {
+		g []int
+		n int
+	}{
+		{[]int{3, 3}, 5},      // repeated
+		{[]int{0, 9}, 5},      // out of range
+		{[]int{2, 1, 0}, 15},  // unsorted
+		{[]int{-1, 1, 2}, 15}, // negative
+	} {
+		if got := CombinationRank(bad.g, bad.n); got != -1 {
+			t.Errorf("CombinationRank(%v, %d) = %d, want -1", bad.g, bad.n, got)
 		}
-	}
-	if CombinationRank([]int{3, 3}, 5) != -1 || CombinationRank([]int{0, 9}, 5) != -1 {
-		t.Error("invalid combinations did not rank -1")
 	}
 }
 

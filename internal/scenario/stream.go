@@ -46,8 +46,8 @@ type tenantModels struct {
 // Compile materializes the scenario's event stream. Every draw comes from
 // one seeded rng in a fixed per-event order — arrival, tenant, size, group
 // — with degenerate draws skipped entirely (closed-loop arrivals and
-// single-tenant scenarios consume nothing), so the canned Cosmos config
-// replays the legacy trace generator seed-for-seed.
+// single-tenant scenarios consume nothing), so a closed-loop, single-tenant
+// config such as Cosmos draws only sizes and groups.
 func Compile(cfg Config) (*Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -113,20 +113,28 @@ func TestPlanCacheHotEntrySurvivesSweep(t *testing.T) {
 // churn recomputes on the next lookup and yields an identical plan.
 func TestPlanCacheReMissRecomputes(t *testing.T) {
 	drainPlanCache(t)
-	SetPlanCacheCap(4)
+	const cap = 4
+	SetPlanCacheCap(cap)
 	defer SetPlanCacheCap(0)
 	defer drainPlanCache(t)
 
 	key := planKey{algo: "churn-test", nodes: 6, blocks: 3, aux: "victim"}
 	build := func() Plan { return chainGen{}.Plan(6, 3) }
 	first := cachedNodePlan(key, 2, build)
-	// Flood with cold keys twice so the victim loses its second chance too.
-	for i := 0; i < 64; i++ {
+	// Flood with keys that are each looked up twice, so every flood entry
+	// holds its second-chance bit and the cold victim is the only entry the
+	// sweep may take, whatever order sync.Map iterates in. The first over-cap
+	// insert therefore evicts it: cap flood keys always suffice.
+	for i := 0; i < cap; i++ {
 		k := planKey{algo: "churn-test", nodes: 6, blocks: 3, aux: fmt.Sprintf("flood%d", i)}
 		cachedNodePlan(k, 0, build)
+		cachedNodePlan(k, 0, build)
+		if _, ok := planCache.Load(key); !ok {
+			break
+		}
 	}
 	if _, ok := planCache.Load(key); ok {
-		t.Fatalf("victim survived a 16x-over-cap flood")
+		t.Fatalf("cold victim survived %d referenced flood keys at cap %d", cap, cap)
 	}
 	again := cachedNodePlan(key, 2, build)
 	if len(again.Sends) != len(first.Sends) || len(again.Recvs) != len(first.Recvs) {

@@ -255,14 +255,6 @@ func (d *Directory) registerLocked(tenant, name string, members []rdma.NodeID) (
 	return gs, nil
 }
 
-// Unregister drops a named group; its id range is not reused (ids are cheap
-// and reuse would let a stale epoch group collide with a fresh one).
-func (d *Directory) Unregister(tenant, name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.groups, tenant+"/"+name)
-}
-
 // TenantStats is a snapshot of one tenant's admission counters.
 type TenantStats struct {
 	Admitted  uint64 // transfers started (immediately or from the queue)

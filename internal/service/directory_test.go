@@ -32,7 +32,7 @@ func TestDrawGroupIsSeededAndLive(t *testing.T) {
 
 	var prevEnd uint32
 	for i := 0; i < 50; i++ {
-		name := string(rune('a' + i%26)) + string(rune('0'+i/26))
+		name := string(rune('a'+i%26)) + string(rune('0'+i/26))
 		g1, err := d.DrawGroup("cosmos", name, 3)
 		if err != nil {
 			t.Fatal(err)

@@ -34,8 +34,7 @@ type WFQThrottle struct {
 	grants   map[core.GroupID]grant
 	def      *throttleClass
 
-	refusals uint64
-	gauge    *obs.Gauge // bytes in flight, when metrics are wired
+	gauge *obs.Gauge // bytes in flight, when metrics are wired
 }
 
 // throttleClass is one tenant's share of the budget.
@@ -187,7 +186,6 @@ func (t *WFQThrottle) Acquire(g core.GroupID, bytes int, resume func()) bool {
 		t.admitLocked(c, g, bytes, false)
 		return true
 	}
-	t.refusals++
 	for i := range c.waiters {
 		if c.waiters[i].g == g {
 			c.waiters[i] = waiter{g: g, bytes: bytes, resume: resume}
@@ -296,11 +294,4 @@ func (t *WFQThrottle) Waiting() int {
 		n += len(c.waiters)
 	}
 	return n
-}
-
-// Refusals reports how many Acquire calls were stalled since creation.
-func (t *WFQThrottle) Refusals() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.refusals
 }
