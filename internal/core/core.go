@@ -86,20 +86,6 @@ const (
 	CtrlCloseAck
 	// CtrlDestroyed finalizes a successful close: members tear down.
 	CtrlDestroyed
-	// CtrlReplanFreeze opens the adaptive mid-transfer re-plan barrier: the
-	// root asks every member to stop advancing its receive window for the
-	// sequence and report the highest block it has posted a receive for.
-	CtrlReplanFreeze
-	// CtrlReplanAck answers the freeze: Block is the highest posted-recv
-	// block (-1 if none) and OK is true while the transfer is still active
-	// locally; OK false means the member already completed it.
-	CtrlReplanAck
-	// CtrlReplanCommit commits the cutover: blocks at and above Block move
-	// to the plan selected by Mask; blocks below finish under the old plan.
-	CtrlReplanCommit
-	// CtrlReplanResume abandons an opened freeze barrier (too few blocks
-	// remained past it): members resume their receive windows unchanged.
-	CtrlReplanResume
 )
 
 // CtrlMsg is one control-plane message. Fields beyond Kind and Group are
@@ -119,13 +105,13 @@ type CtrlMsg struct {
 	// which (Round, Block) is the first. Zero means one (a legacy
 	// single-block notice).
 	Count int
-	// Mask carries the adaptive contention bucket: on CtrlPrepare the mask
-	// the root planned the transfer under, on CtrlReplanCommit the mask the
-	// remaining blocks cut over to. Zero (the static case) selects the
-	// group's configured plan unchanged.
+	// Mask carries the adaptive contention bucket on CtrlPrepare: the mask
+	// the root planned the transfer under. Zero (the static case) selects
+	// the group's configured plan unchanged.
 	Mask uint64
-	// BS is the per-transfer block size on CtrlPrepare; zero means the
-	// group's configured block size (the static case).
+	// BS is the per-transfer block size on CtrlPrepare. A member accepts the
+	// prepare only if BS is the size it derives from its own configuration
+	// and Mask.
 	BS int
 }
 

@@ -1,0 +1,236 @@
+package core_test
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+	"time"
+
+	"rdmc/internal/core"
+	"rdmc/internal/rdma"
+	"rdmc/internal/rdma/simnic"
+	"rdmc/internal/schedule"
+	"rdmc/internal/simnet"
+)
+
+// ctrlRig is a simulated deployment whose control channel a test can write
+// to directly, posing as any node — including one outside every group — and
+// whose outbound control messages it can hold back.
+type ctrlRig struct {
+	sim      *simnet.Sim
+	cluster  *simnet.Cluster
+	engines  []*core.Engine
+	handlers []func(rdma.NodeID, core.CtrlMsg)
+
+	// hold, when set, diverts matching outbound messages into held instead
+	// of the wire; release sends them on.
+	hold func(from rdma.NodeID, m core.CtrlMsg) bool
+	held []heldMsg
+}
+
+type heldMsg struct {
+	from, to rdma.NodeID
+	m        core.CtrlMsg
+}
+
+func newCtrlRig(t testing.TB, nodes int) *ctrlRig {
+	t.Helper()
+	sim := simnet.NewSim(1)
+	cluster, err := simnet.NewCluster(sim, simnet.ClusterConfig{
+		Nodes:         nodes,
+		LinkBandwidth: 12.5e9,
+		Latency:       1.5e-6,
+		CPU:           simnet.DefaultCPUConfig(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &ctrlRig{sim: sim, cluster: cluster, handlers: make([]func(rdma.NodeID, core.CtrlMsg), nodes)}
+	network := simnic.NewNetwork(cluster)
+	for i := 0; i < nodes; i++ {
+		id := rdma.NodeID(i)
+		r.engines = append(r.engines, core.NewEngine(network.Provider(id), &rigControl{rig: r, local: id}, rigHost{sim}))
+	}
+	return r
+}
+
+// inject delivers m to node to's engine as if node from had sent it.
+func (r *ctrlRig) inject(from, to rdma.NodeID, m core.CtrlMsg) {
+	if h := r.handlers[to]; h != nil {
+		h(from, m)
+	}
+}
+
+func (r *ctrlRig) release() {
+	held := r.held
+	r.held = nil
+	for _, h := range held {
+		r.inject(h.from, h.to, h.m)
+	}
+}
+
+// group creates group 1 on nodes 0..n-1 with data-carrying callbacks. The
+// Incoming callback refuses announcements above maxSize, so a bogus prepare
+// that slips through shows up as an error instead of a huge allocation.
+func (r *ctrlRig) group(t testing.TB, n int, cfg core.GroupConfig, maxSize int) ([]*core.Group, []*receiverState) {
+	t.Helper()
+	members := make([]rdma.NodeID, n)
+	for i := range members {
+		members[i] = rdma.NodeID(i)
+	}
+	groups := make([]*core.Group, n)
+	states := make([]*receiverState, n)
+	for i := range members {
+		st := &receiverState{}
+		states[i] = st
+		c := cfg
+		c.Callbacks = core.Callbacks{
+			Incoming: func(size int) []byte {
+				if size > maxSize {
+					t.Errorf("node %d accepted a transfer of %d bytes", i, size)
+					return nil
+				}
+				return make([]byte, size)
+			},
+			Completion: func(seq int, data []byte, size int) {
+				st.delivered = append(st.delivered, append([]byte(nil), data...))
+				st.sizes = append(st.sizes, size)
+			},
+			Failure: func(err error) { st.failures = append(st.failures, err) },
+		}
+		g, err := r.engines[i].CreateGroup(1, members, c)
+		if err != nil {
+			t.Fatalf("CreateGroup on node %d: %v", i, err)
+		}
+		groups[i] = g
+	}
+	return groups, states
+}
+
+type rigControl struct {
+	rig   *ctrlRig
+	local rdma.NodeID
+}
+
+func (c *rigControl) Send(to rdma.NodeID, m core.CtrlMsg) error {
+	r, from := c.rig, c.local
+	if r.hold != nil && r.hold(from, m) {
+		r.held = append(r.held, heldMsg{from: from, to: to, m: m})
+		return nil
+	}
+	r.cluster.Ctrl(simnet.NodeID(from), simnet.NodeID(to), func() { r.inject(from, to, m) })
+	return nil
+}
+
+func (c *rigControl) SetHandler(fn func(rdma.NodeID, core.CtrlMsg)) { c.rig.handlers[c.local] = fn }
+
+type rigHost struct{ sim *simnet.Sim }
+
+func (h rigHost) Now() time.Duration          { return h.sim.NowDuration() }
+func (h rigHost) ChargeCopy(_ int, fn func()) { h.sim.After(0, fn) }
+
+// TestMalformedPrepareDropped feeds a member prepares that no root of its
+// group could have sent: sizes Send refuses, a block size the member would
+// not derive, and valid-looking frames from a non-root member and from a
+// node outside the group. Each must be dropped without starting a transfer,
+// and the group must then carry a real message intact.
+func TestMalformedPrepareDropped(t *testing.T) {
+	r := newCtrlRig(t, 4)
+	const bs = 1 << 10
+	groups, states := r.group(t, 3, core.GroupConfig{BlockSize: bs}, 1<<20)
+
+	bad := []struct {
+		from rdma.NodeID
+		m    core.CtrlMsg
+	}{
+		{0, core.CtrlMsg{Size: 0, BS: bs}},
+		{0, core.CtrlMsg{Size: -1, BS: bs}},
+		{0, core.CtrlMsg{Size: 1 << 32, BS: bs}},
+		{0, core.CtrlMsg{Size: 4 * bs, BS: bs / 2}},
+		{0, core.CtrlMsg{Size: 4 * bs, BS: 0}},
+		{2, core.CtrlMsg{Size: 4 * bs, BS: bs}},
+		{3, core.CtrlMsg{Size: 4 * bs, BS: bs}},
+	}
+	for _, b := range bad {
+		m := b.m
+		m.Kind, m.Group = core.CtrlPrepare, 1
+		r.inject(b.from, 1, m)
+	}
+	r.sim.Run()
+
+	msg := make([]byte, 10*bs+7)
+	rand.New(rand.NewSource(3)).Read(msg)
+	if err := groups[0].Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run()
+	for i, st := range states {
+		if len(st.failures) != 0 {
+			t.Fatalf("member %d failed: %v", i, st.failures)
+		}
+		if len(st.delivered) != 1 || st.sizes[0] != len(msg) || !bytes.Equal(st.delivered[0], msg) {
+			t.Fatalf("member %d delivered %d messages (sizes %v), want the one real message intact", i, len(st.delivered), st.sizes)
+		}
+	}
+}
+
+// TestCloseAckFromNonMemberIgnored holds one member's close-ack back and has
+// a node outside the group ack in its place. The §4.6 barrier must not
+// complete until the real ack arrives.
+func TestCloseAckFromNonMemberIgnored(t *testing.T) {
+	r := newCtrlRig(t, 4)
+	groups, _ := r.group(t, 3, core.GroupConfig{BlockSize: 1 << 10}, 1<<20)
+	r.hold = func(from rdma.NodeID, m core.CtrlMsg) bool { return from == 2 && m.Kind == core.CtrlCloseAck }
+
+	var results []error
+	groups[0].Destroy(func(err error) { results = append(results, err) })
+	r.sim.Run()
+	if len(r.held) != 1 {
+		t.Fatalf("held %d close-acks from member 2, want 1", len(r.held))
+	}
+	r.inject(3, 0, core.CtrlMsg{Kind: core.CtrlCloseAck, Group: 1, OK: true, Node: 3})
+	r.sim.Run()
+	if len(results) != 0 {
+		t.Fatalf("close barrier completed with %v while member 2 had not acked", results)
+	}
+
+	r.hold = nil
+	r.release()
+	r.sim.Run()
+	if len(results) != 1 || results[0] != nil {
+		t.Fatalf("close barrier results = %v, want one nil once every member acked", results)
+	}
+}
+
+// FuzzEngineCtrl injects one arbitrary control message, from any node to any
+// member, into a live 3-member group that is carrying a message and running
+// its close barrier. Whatever the frame says, no engine may panic.
+func FuzzEngineCtrl(f *testing.F) {
+	// The two frames that once broke the engine: a zero-size prepare to a
+	// member, and an OK close-ack from a node outside the group.
+	f.Add(uint8(0), uint8(1), int(core.CtrlPrepare), 0, int64(0), 0, 0, 0, 0, uint32(0), false, uint64(0), 1<<20)
+	f.Add(uint8(3), uint8(0), int(core.CtrlCloseAck), 0, int64(0), 0, 0, 0, 0, uint32(3), true, uint64(0), 0)
+	f.Fuzz(func(t *testing.T, from, to uint8, kind, seq int, size int64, round, block, count, total int,
+		node uint32, ok bool, mask uint64, bs int) {
+		r := newCtrlRig(t, 4)
+		cfg := core.GroupConfig{BlockSize: 1 << 20, Generator: schedule.AdaptiveGen{}}
+		var groups []*core.Group
+		for i := 0; i < 3; i++ {
+			g, err := r.engines[i].CreateGroup(1, []rdma.NodeID{0, 1, 2}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups = append(groups, g)
+		}
+		if err := groups[0].SendSized(3 << 20); err != nil {
+			t.Fatal(err)
+		}
+		groups[0].Destroy(func(error) {})
+		m := core.CtrlMsg{
+			Kind: core.CtrlKind(kind), Group: 1, Seq: seq, Size: size, Round: round, Block: block,
+			Count: count, Total: total, Node: rdma.NodeID(node), OK: ok, Mask: mask, BS: bs,
+		}
+		r.sim.At(5e-6, func() { r.inject(rdma.NodeID(from%4), rdma.NodeID(to%3), m) })
+		r.sim.Run()
+	})
+}

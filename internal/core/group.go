@@ -89,14 +89,11 @@ type Group struct {
 	readyCounts map[readyKey]int
 	planCache   map[planCacheKey]schedule.NodePlan
 
-	// Adaptive scheduling state (see replan.go). lastMask is the root's
-	// previous plan decision, fed back into the hysteresis; earlyReady
-	// buffers continuation ReceiverReady notices from members whose old
-	// phase quiesced before the root's own; the stall/post counters feed
-	// the credit-stall component of the contention signal (sampled as a
-	// delta, hence the last* shadows).
+	// Adaptive scheduling state (see adaptive.go). lastMask is the root's
+	// previous plan decision, fed back into the hysteresis; the stall/post
+	// counters feed the credit-stall component of the contention signal
+	// (sampled as a delta, hence the last* shadows).
 	lastMask        uint64
-	earlyReady      map[int]map[int]bool
 	stallCredit     uint64
 	postedSends     uint64
 	lastStallCredit uint64
@@ -386,11 +383,6 @@ func (g *Group) Wedge() DrainState {
 	}
 	if g.current != nil {
 		ds.InFlightSeq = g.current.seq
-		if g.current.orig != nil {
-			// A continuation is in flight: the membership layer knows the
-			// message by its original sequence.
-			ds.InFlightSeq = g.current.orig.seq
-		}
 	}
 	for _, p := range g.pending {
 		ps := PendingSend{Seq: p.seq, Size: p.size}
@@ -554,7 +546,7 @@ func (g *Group) failLocked(node rdma.NodeID, relay bool) []func() {
 func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 	switch m.Kind {
 	case CtrlPrepare:
-		if g.state != stateActive || g.rank == 0 {
+		if g.state != stateActive || g.rank == 0 || from != g.members[0] || !g.validPrepare(m) {
 			return nil
 		}
 		g.pending = append(g.pending, pendingMsg{seq: m.Seq, size: m.Size, mask: m.Mask, blockSize: m.BS})
@@ -565,23 +557,6 @@ func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 			return nil
 		}
 		if g.current == nil || g.current.seq != m.Seq {
-			if m.Seq&contSeqTag != 0 && g.state == stateActive {
-				// A member's old phase can quiesce — and its continuation
-				// report ready — before the root's own quiesce starts the
-				// continuation locally. Buffer the readiness; the root
-				// replays it when its continuation begins.
-				if r := g.rankOf(from); r > 0 {
-					if g.earlyReady == nil {
-						g.earlyReady = make(map[int]map[int]bool)
-					}
-					set := g.earlyReady[m.Seq]
-					if set == nil {
-						set = make(map[int]bool)
-						g.earlyReady[m.Seq] = set
-					}
-					set[r] = true
-				}
-			}
 			return nil
 		}
 		return g.current.receiverReadyLocked(g.rankOf(from))
@@ -624,13 +599,14 @@ func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 		return g.maybeAckCloseLocked()
 
 	case CtrlCloseAck:
-		if g.rank != 0 || g.closeCb == nil {
+		r := g.rankOf(from)
+		if g.rank != 0 || g.closeCb == nil || r <= 0 {
 			return nil
 		}
 		if !m.OK {
 			return g.failLocked(m.Node, true)
 		}
-		g.closeAcks[g.rankOf(from)] = true
+		g.closeAcks[r] = true
 		if len(g.closeAcks) == len(g.members)-1 {
 			cb := g.closeCb
 			g.closeCb = nil
@@ -648,21 +624,25 @@ func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 		}
 		return nil
 
-	case CtrlReplanFreeze:
-		return g.onReplanFreezeLocked(m)
-
-	case CtrlReplanAck:
-		return g.onReplanAckLocked(from, m)
-
-	case CtrlReplanCommit:
-		return g.onReplanCommitLocked(m)
-
-	case CtrlReplanResume:
-		return g.onReplanResumeLocked(m)
-
 	default:
 		return nil
 	}
+}
+
+// validPrepare reports whether a prepare describes a transfer this member can
+// run: a size Send would have accepted, cut into the blocks this member
+// derives from its own configuration and the shipped mask. Control frames
+// come from other processes, so a malformed one is dropped here rather than
+// reaching the planner.
+func (g *Group) validPrepare(m CtrlMsg) bool {
+	if m.Size <= 0 || m.Size > int64(^uint32(0)) {
+		return false
+	}
+	bs := g.cfg.BlockSize
+	if ap, ok := g.cfg.Generator.(schedule.AdaptivePlanner); ok {
+		bs = ap.AdaptiveBlockSize(bs, m.Mask)
+	}
+	return m.BS == bs
 }
 
 // maybeAckCloseLocked answers the close barrier once every announced message

@@ -16,10 +16,6 @@ var ctrlKindNames = [...]string{
 	"close",
 	"close_ack",
 	"destroyed",
-	"replan_freeze",
-	"replan_ack",
-	"replan_commit",
-	"replan_resume",
 }
 
 // String returns the control kind's short name, as used in metric names and
@@ -34,7 +30,7 @@ func (k CtrlKind) String() string {
 // NumCtrlKinds is the number of defined control kinds; kinds are contiguous
 // from 1 to NumCtrlKinds, so a [NumCtrlKinds+1]-sized array indexed by kind
 // covers them all.
-const NumCtrlKinds = int(CtrlReplanResume)
+const NumCtrlKinds = int(CtrlDestroyed)
 
 // engineObs is the engine's pre-resolved instrumentation: every counter and
 // histogram the hot paths touch is looked up once at SetObserver time, so a
@@ -54,9 +50,6 @@ type engineObs struct {
 	delivered  *obs.Counter // messages locally delivered
 	planHit    *obs.Counter // group-local plan cache hits
 	planMiss   *obs.Counter // group-local plan cache misses
-	replanTry  *obs.Counter // mid-transfer re-plan barriers opened
-	replanOK   *obs.Counter // re-plans committed (cutover applied)
-	replanAbrt *obs.Counter // re-plans abandoned at the barrier
 
 	batchRun *obs.Histogram // same-group run length inside a completion batch
 	msgBytes *obs.Histogram // delivered message sizes
@@ -84,9 +77,6 @@ func (e *Engine) SetObserver(o *obs.Obs) {
 		delivered:  r.Counter("core.delivered"),
 		planHit:    r.Counter("core.plan_cache_hits"),
 		planMiss:   r.Counter("core.plan_cache_misses"),
-		replanTry:  r.Counter("core.replan_freezes"),
-		replanOK:   r.Counter("core.replan_commits"),
-		replanAbrt: r.Counter("core.replan_aborts"),
 		batchRun:   r.Histogram("core.batch_run", obs.Pow2Buckets(9)),
 		msgBytes:   r.Histogram("core.msg_bytes", obs.ExpBuckets(1024, 4, 12)),
 	}

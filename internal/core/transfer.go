@@ -23,27 +23,12 @@ type transfer struct {
 	g    *Group
 	seq  int
 	size int64
-	k    int
 	bs   int    // per-transfer block size (adaptive roots may scale the configured one)
 	mask uint64 // contention bucket the plan was built under (0 = static)
 	np   schedule.NodePlan
 
 	buf     rdma.Buffer // message memory (Data nil for metadata-only)
 	staging []byte      // first-block landing buffer when carrying data
-
-	// Adaptive mid-transfer re-plan state (see replan.go). frozen pauses
-	// receive-window advancement during the freeze barrier; cutoff > 0
-	// truncates the plan at that block boundary (blocks ≥ cutoff move to a
-	// continuation transfer planned under contMask); replan holds the
-	// root's barrier bookkeeping; orig is set on a continuation and names
-	// the original message it completes.
-	frozen       bool
-	cutoff       int
-	contMask     uint64
-	replanTried  bool
-	replan       *replanState
-	maxSentBlock int
-	orig         *origMsg
 
 	// Root-side start gate: the transfer begins only when every receiver
 	// has posted its buffers (§2's "starts sending only after all are
@@ -75,16 +60,14 @@ func newTransfer(g *Group, pm pendingMsg) *transfer {
 	}
 	k := int((pm.size + int64(bs) - 1) / int64(bs))
 	t := &transfer{
-		g:            g,
-		seq:          pm.seq,
-		size:         pm.size,
-		k:            k,
-		bs:           bs,
-		mask:         pm.mask,
-		np:           g.nodePlan(k, pm.mask),
-		buf:          pm.buf,
-		have:         make([]bool, k),
-		maxSentBlock: -1,
+		g:    g,
+		seq:  pm.seq,
+		size: pm.size,
+		bs:   bs,
+		mask: pm.mask,
+		np:   g.nodePlan(k, pm.mask),
+		buf:  pm.buf,
+		have: make([]bool, k),
 	}
 	t.sendDone = make([]bool, len(t.np.Sends))
 	t.sentTo = make([]int, len(g.members))
@@ -243,11 +226,6 @@ func (t *transfer) finishMemberSetupLocked(data []byte) []func() {
 // does not multiply control traffic. It returns non-nil only on failure.
 func (t *transfer) postRecvWindowLocked() []func() {
 	g := t.g
-	if t.frozen {
-		// Re-plan barrier: the window holds still so the acked high-water
-		// mark stays the truth until the root commits or resumes.
-		return nil
-	}
 	// A window's worth of receives rarely spans more than a couple of
 	// sources; a small linear-scanned batch list stays on the stack.
 	var batchBuf [4]readyNotice
@@ -255,15 +233,6 @@ func (t *transfer) postRecvWindowLocked() []func() {
 	for t.recvPosted < len(t.np.Recvs) && t.recvPosted-t.recvDone < g.cfg.RecvWindow {
 		idx := t.recvPosted
 		tr := t.np.Recvs[idx]
-		if t.cutoff > 0 && tr.Block >= t.cutoff {
-			// Truncated tail: this block moved to the continuation. Mark
-			// the slot done without posting memory or sending credit — the
-			// sender skips the matching send the same way, so cumulative
-			// credit for this (source, receiver) pair stays in agreement.
-			t.recvPosted++
-			t.recvDone++
-			continue
-		}
 		qp, err := g.qpTo(tr.From)
 		if err != nil {
 			return g.failLocked(g.members[tr.From], true)
@@ -349,15 +318,6 @@ func (t *transfer) pumpSendsLocked() []func() {
 			return nil
 		}
 		tr := t.np.Sends[t.sendIdx]
-		if t.cutoff > 0 && tr.Block >= t.cutoff {
-			// Truncated tail: the receiver never posted this block's recv
-			// (it skipped the slot symmetrically), so complete the schedule
-			// entry without posting or consuming credit.
-			t.sendDone[t.sendIdx] = true
-			t.sendsDone++
-			t.sendIdx++
-			continue
-		}
 		if !t.have[tr.Block] {
 			return nil
 		}
@@ -394,9 +354,6 @@ func (t *transfer) pumpSendsLocked() []func() {
 		t.sendsInFlight++
 		t.sendIdx++
 		g.postedSends++
-		if tr.Block > t.maxSentBlock {
-			t.maxSentBlock = tr.Block
-		}
 	}
 	return nil
 }
@@ -438,9 +395,6 @@ func (t *transfer) sendDoneLocked(idx int) []func() {
 	resumes := t.g.releaseThrottleLocked(t.blockLen(tr.Block))
 	if cbs := t.pumpSendsLocked(); cbs != nil {
 		return append(resumes, cbs...)
-	}
-	if t.g.rank == 0 {
-		t.g.maybeReplanLocked()
 	}
 	if cbs := t.maybeDeliverLocked(); cbs != nil {
 		return append(resumes, cbs...)
@@ -536,22 +490,10 @@ func (t *transfer) maybeDeliverLocked() []func() {
 
 func (t *transfer) deliverLocked() []func() {
 	g := t.g
-	if t.cutoff > 0 {
-		// The truncated phase quiesced; the remaining blocks move as a
-		// continuation transfer under the committed plan. Delivery happens
-		// when the continuation finishes.
-		return t.startContinuationLocked()
-	}
 	g.delivered++
 	g.current = nil
-	seq, size, data := t.seq, t.size, t.buf.Data
-	if t.orig != nil {
-		// Continuation finishing: deliver under the original message's
-		// identity — the application never observes the split.
-		seq, size, data = t.orig.seq, t.orig.size, t.orig.buf.Data
-	}
 	for key := range g.readyCounts {
-		if key.seq == t.seq || key.seq == seq {
+		if key.seq == t.seq {
 			delete(g.readyCounts, key)
 		}
 	}
@@ -561,14 +503,14 @@ func (t *transfer) deliverLocked() []func() {
 	}
 	if eo := g.engine.eobs; eo != nil {
 		eo.delivered.Inc()
-		eo.msgBytes.Observe(size)
-		eo.record(g.engine.host.Now(), obs.EvDelivered, g.id, seq, -1, -1, size)
+		eo.msgBytes.Observe(t.size)
+		eo.record(g.engine.host.Now(), obs.EvDelivered, g.id, t.seq, -1, -1, t.size)
 	}
 
 	var cbs []func()
 	if fn := g.cfg.Callbacks.Completion; fn != nil {
-		cseq, cdata, csize := seq, data, int(size)
-		cbs = append(cbs, func() { fn(cseq, cdata, csize) })
+		seq, data, size := t.seq, t.buf.Data, int(t.size)
+		cbs = append(cbs, func() { fn(seq, data, size) })
 	}
 	cbs = append(cbs, g.maybeAckCloseLocked()...)
 	cbs = append(cbs, g.maybeStartNextLocked()...)

@@ -21,7 +21,7 @@ import (
 //	off 6  Seq    uint32
 //	off 10 Size   uint64
 //	off 18 Round  uint32
-//	off 22 Block  int32 (sign-preserving: replan acks carry -1)
+//	off 22 Block  int32 (sign-preserving)
 //	off 26 Node   uint32
 //	off 30 Total  uint32
 //	off 34 Count  uint32

@@ -205,7 +205,7 @@ func (m *Mesh) readLoop(id rdma.NodeID, pc *peerConn) {
 	var rbuf [ctrlWireLen]byte
 	// A burst of control messages — a window's worth of credit notices, a
 	// round of readies — often sits queued in the socket; the buffered
-	// reader drains the burst with one syscall instead of one per 38-byte
+	// reader drains the burst with one syscall instead of one per 50-byte
 	// frame. The loop is the connection's only reader, so buffering cannot
 	// strand bytes another reader needs.
 	br := bufio.NewReaderSize(pc.conn, 64*ctrlWireLen)

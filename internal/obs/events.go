@@ -55,15 +55,6 @@ const (
 	EvSessionWedge
 	EvSessionInstall
 	EvSessionResend
-	// EvReplanFreeze / EvReplanCommit / EvReplanAbort record the adaptive
-	// mid-transfer re-plan protocol on the root: the freeze barrier opening
-	// (Arg is the proposed mask), the cutover committing (Block is the
-	// cutover boundary B, Arg the committed mask), and an abort because too
-	// few blocks remained past the barrier (Block is the boundary that was
-	// rejected).
-	EvReplanFreeze
-	EvReplanCommit
-	EvReplanAbort
 	// EvContentionSample records one contention-signal sample feeding an
 	// adaptive plan decision: Arg is the mask the sample quantized to.
 	EvContentionSample
@@ -104,12 +95,6 @@ func (k EventKind) String() string {
 		return "session_install"
 	case EvSessionResend:
 		return "session_resend"
-	case EvReplanFreeze:
-		return "replan_freeze"
-	case EvReplanCommit:
-		return "replan_commit"
-	case EvReplanAbort:
-		return "replan_abort"
 	case EvContentionSample:
 		return "contention_sample"
 	default:

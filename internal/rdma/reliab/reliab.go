@@ -13,8 +13,8 @@
 // and optional systematic XOR parity (FEC) so a high-BDP path can repair a
 // single loss per group without waiting a round trip.
 //
-// The wrapper is opt-in per queue pair (Config.Protect) and transparent to
-// callers: PostSend/PostRecv/completions keep the rdma contract, including
+// The wrapper protects every queue pair except self-connections, which pass
+// through verbatim, and is transparent to callers: PostSend/PostRecv/completions keep the rdma contract, including
 // FIFO delivery (the receiver reassembles in sequence order) and the
 // posted-buffer ownership rule — the wrapper stages its own copy of every
 // protected payload, which is also the retransmit buffer, so the caller's
@@ -75,9 +75,6 @@ type Config struct {
 	Seed int64
 	// Timer is the timeout scheduler; nil selects the wall clock.
 	Timer TimerFunc
-	// Protect selects which queue pairs get reliability; nil protects every
-	// pair except self-connections. Unprotected pairs pass through verbatim.
-	Protect func(peer rdma.NodeID, token uint64) bool
 	// DropFn, when non-nil, is consulted for every data-frame transmission
 	// (retransmit reports re-sends) and returning true makes the receiver
 	// discard that copy on arrival — deterministic loss injection for tests
@@ -250,16 +247,15 @@ func (p *Provider) Close() error {
 	return p.inner.Close()
 }
 
-// Connect implements rdma.Provider. Protected pairs (per Config.Protect;
-// self-connections never) get the reliability layer; others are returned as
-// the inner provider created them, completions forwarded verbatim.
+// Connect implements rdma.Provider. Pairs to other nodes get the reliability
+// layer; self-connections are returned as the inner provider created them,
+// completions forwarded verbatim.
 func (p *Provider) Connect(peer rdma.NodeID, token uint64) (rdma.QueuePair, error) {
-	protect := peer != p.inner.NodeID() && (p.cfg.Protect == nil || p.cfg.Protect(peer, token))
 	inner, err := p.inner.Connect(peer, token)
 	if err != nil {
 		return nil, err
 	}
-	if !protect {
+	if peer == p.inner.NodeID() {
 		return inner, nil
 	}
 	qp := &queuePair{

@@ -335,10 +335,11 @@ func TestBreakStillSurfacesThroughReliability(t *testing.T) {
 	}
 }
 
+// TestUnprotectedPairsPassThrough pins the one unprotected case: a
+// self-connection is the inner provider's pair, with no frames in between.
 func TestUnprotectedPairsPassThrough(t *testing.T) {
-	cfg := Config{Protect: func(peer rdma.NodeID, token uint64) bool { return token != 9 }}
-	sim, _, ps, logs := testNet(t, 0, cfg)
-	qa, qb := connectPair(t, ps[0], ps[1], 9)
+	sim, _, ps, logs := testNet(t, 0, Config{})
+	qa, qb := connectPair(t, ps[0], ps[0], 9)
 	if err := qb.PostRecv(rdma.SizeBuffer(10), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +347,12 @@ func TestUnprotectedPairsPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run()
-	recvs := *logs[1]
+	var recvs []rdma.Completion
+	for _, c := range *logs[0] {
+		if c.Op == rdma.OpRecv {
+			recvs = append(recvs, c)
+		}
+	}
 	if len(recvs) != 1 || recvs[0].Imm != 5 {
 		t.Fatalf("pass-through recv = %+v", recvs)
 	}

@@ -51,60 +51,25 @@ const (
 	maxMaskRack = 62
 )
 
-// AdaptivePolicy tunes the adaptive planner's thresholds. The zero value of
-// any field selects its default, so AdaptivePolicy{} is a working policy.
-type AdaptivePolicy struct {
-	// SaturateAt is the trunk pressure at which a rack enters the saturated
-	// set, and ClearAt the pressure below which it leaves — the hysteresis
-	// band that keeps a flapping signal from churning plans. Defaults: 1.25
-	// and 0.75. The multicast's own relaying keeps at most two concurrent
-	// flows per trunk direction, so on the Apt model its self-pressure
-	// stays well under 1; crossing SaturateAt requires foreign traffic.
-	SaturateAt float64
-	ClearAt    float64
-	// HostBusyAt is the per-NIC-port concurrent-flow count at which a flat
-	// fabric counts as contended (default 3): above it the wide binomial
-	// pipeline loses to a chain, whose one-in/one-out discipline adds the
-	// least extra load per port.
-	HostBusyAt float64
-	// StallBusyAt is the credit-stall fraction that likewise marks a flat
-	// fabric contended (default 0.5).
-	StallBusyAt float64
-	// BlockScale multiplies the group block size while the mask is non-zero
-	// (default 2): under contention per-flow bandwidth shrinks, so larger
-	// blocks amortize the per-block control traffic over more bytes. 1
-	// disables block-size adaptation.
-	BlockScale int
-	// Replan enables the mid-transfer re-plan path in the engine: when the
-	// mask changes while a transfer is in flight, the remaining blocks
-	// switch to the new plan at a block boundary.
-	Replan bool
-	// MinReplanBlocks is the minimum number of not-yet-scheduled blocks for
-	// which a mid-transfer re-plan is worth its barrier (default 8).
-	MinReplanBlocks int
-}
-
-func (p AdaptivePolicy) withDefaults() AdaptivePolicy {
-	if p.SaturateAt == 0 {
-		p.SaturateAt = 1.25
-	}
-	if p.ClearAt == 0 {
-		p.ClearAt = 0.75
-	}
-	if p.HostBusyAt == 0 {
-		p.HostBusyAt = 3
-	}
-	if p.StallBusyAt == 0 {
-		p.StallBusyAt = 0.5
-	}
-	if p.BlockScale == 0 {
-		p.BlockScale = 2
-	}
-	if p.MinReplanBlocks == 0 {
-		p.MinReplanBlocks = 8
-	}
-	return p
-}
+// Adaptive thresholds. A rack enters the saturated set at trunk pressure
+// saturateAt and leaves below clearAt — the hysteresis band that keeps a
+// flapping signal from churning plans. The multicast's own relaying keeps at
+// most two concurrent flows per trunk direction, so on the Apt model its
+// self-pressure stays well under 1; crossing saturateAt requires foreign
+// traffic. A flat fabric counts as contended at hostBusyAt concurrent flows
+// on one NIC port (above it the wide binomial pipeline loses to a chain,
+// whose one-in/one-out discipline adds the least extra load per port) or at
+// a credit-stall fraction of stallBusyAt, and clears below half of each.
+// While the mask is non-zero the block size is multiplied by blockScale:
+// per-flow bandwidth shrinks under contention, so larger blocks amortize the
+// per-block control traffic over more bytes.
+const (
+	saturateAt  = 1.25
+	clearAt     = 0.75
+	hostBusyAt  = 3.0
+	stallBusyAt = 0.5
+	blockScale  = 2
+)
 
 // AdaptivePlanner is the engine-facing contract of an adaptive generator:
 // besides the Generator interface it exposes the mask decision (with
@@ -119,17 +84,11 @@ type AdaptivePlanner interface {
 	// applying hysteresis against the previous mask.
 	DecideMask(c Contention, prev uint64) uint64
 	// MaskedNodePlan is NodePlan conditioned on a mask; mask 0 must equal
-	// NodePlan exactly. The result is element-for-element identical to
-	// MaskedPlan(nodes, blocks, mask).PerNode()[rank].
+	// NodePlan exactly.
 	MaskedNodePlan(nodes, blocks, rank int, mask uint64) NodePlan
-	// MaskedPlan is the full-plan form of MaskedNodePlan.
-	MaskedPlan(nodes, blocks int, mask uint64) Plan
 	// AdaptiveBlockSize picks the per-transfer block size from the group's
 	// configured base size and the transfer's mask.
 	AdaptiveBlockSize(base int, mask uint64) int
-	// ReplanPolicy reports whether mid-transfer re-planning is enabled and
-	// the minimum remaining block count for which it engages.
-	ReplanPolicy() (enabled bool, minBlocks int)
 }
 
 // AdaptiveGen selects and shapes the multicast schedule per transfer from a
@@ -149,8 +108,6 @@ type AdaptiveGen struct {
 	// RackOf maps each rank to its rack index (as HybridGen); nil selects
 	// flat-fabric behavior. Rank 0 must be the lowest rank of its rack.
 	RackOf []int
-	// Policy tunes thresholds; the zero value works.
-	Policy AdaptivePolicy
 }
 
 var _ Generator = AdaptiveGen{}
@@ -169,37 +126,30 @@ func (a AdaptiveGen) NodePlan(nodes, blocks, rank int) NodePlan {
 	return a.MaskedNodePlan(nodes, blocks, rank, 0)
 }
 
-// ReplanPolicy implements AdaptivePlanner.
-func (a AdaptiveGen) ReplanPolicy() (bool, int) {
-	p := a.Policy.withDefaults()
-	return p.Replan, p.MinReplanBlocks
-}
-
 // AdaptiveBlockSize implements AdaptivePlanner. Mask 0 returns base
 // unchanged — the uncontended adaptive group must be indistinguishable from
 // its static counterpart.
-func (a AdaptiveGen) AdaptiveBlockSize(base int, mask uint64) int {
+func (AdaptiveGen) AdaptiveBlockSize(base int, mask uint64) int {
 	if mask == 0 || base <= 0 {
 		return base
 	}
-	return base * a.Policy.withDefaults().BlockScale
+	return base * blockScale
 }
 
-// DecideMask implements AdaptivePlanner. Racks enter the mask at SaturateAt
-// and leave below ClearAt; the root's own rack is never masked (all traffic
+// DecideMask implements AdaptivePlanner. Racks enter the mask at saturateAt
+// and leave below clearAt; the root's own rack is never masked (all traffic
 // originates there — there is no route around it). On flat fabrics the mask
 // is a single host-contention bit with the same two-threshold hysteresis.
 func (a AdaptiveGen) DecideMask(c Contention, prev uint64) uint64 {
-	p := a.Policy.withDefaults()
 	if len(a.RackOf) == 0 {
 		host := c.HostTx
 		if c.HostRx > host {
 			host = c.HostRx
 		}
 		hot := prev&flatHotBit != 0
-		if host >= p.HostBusyAt || c.CreditStall >= p.StallBusyAt {
+		if host >= hostBusyAt || c.CreditStall >= stallBusyAt {
 			hot = true
-		} else if host < p.HostBusyAt/2 && c.CreditStall < p.StallBusyAt/2 {
+		} else if host < hostBusyAt/2 && c.CreditStall < stallBusyAt/2 {
 			hot = false
 		}
 		if hot {
@@ -229,7 +179,7 @@ func (a AdaptiveGen) DecideMask(c Contention, prev uint64) uint64 {
 			pressure = down
 		}
 		was := prev&bit != 0
-		if pressure >= p.SaturateAt || (was && pressure >= p.ClearAt) {
+		if pressure >= saturateAt || (was && pressure >= clearAt) {
 			mask |= bit
 		}
 	}
@@ -298,7 +248,8 @@ func (a AdaptiveGen) MaskedNodePlan(nodes, blocks, rank int, mask uint64) NodePl
 	return cachedNodePlan(key, rank, func() Plan { return a.shelterPlan(nodes, blocks, eff) })
 }
 
-// MaskedPlan implements AdaptivePlanner.
+// MaskedPlan is the full-plan form of MaskedNodePlan: its PerNode()[rank]
+// equals MaskedNodePlan(nodes, blocks, rank, mask) element for element.
 func (a AdaptiveGen) MaskedPlan(nodes, blocks int, mask uint64) Plan {
 	checkArgs(nodes, blocks)
 	if !a.checkTopo(nodes) {

@@ -255,7 +255,7 @@ func TestAdaptiveChurningSignalBoundsCacheKeys(t *testing.T) {
 }
 
 // TestDecideMaskHysteresis pins the two-threshold quantizer: racks enter the
-// mask at SaturateAt, stay down to ClearAt, and leave below it; the root's
+// mask at saturateAt, stay down to clearAt, and leave below it; the root's
 // rack is never masked; trunk pressure is the max of the two directions. The
 // flat-fabric bit follows the same discipline on the host-busy and
 // credit-stall signals.
@@ -269,10 +269,10 @@ func TestDecideMaskHysteresis(t *testing.T) {
 		want uint64
 	}{
 		{"below threshold", Contention{TrunkUp: []float64{0, 1.24}}, 0, 0},
-		{"enters at SaturateAt", Contention{TrunkUp: []float64{0, 1.25}}, 0, bit1},
+		{"enters at saturateAt", Contention{TrunkUp: []float64{0, 1.25}}, 0, bit1},
 		{"holds inside the band", Contention{TrunkUp: []float64{0, 0.75}}, bit1, bit1},
 		{"band pressure alone never enters", Contention{TrunkUp: []float64{0, 0.9}}, 0, 0},
-		{"clears below ClearAt", Contention{TrunkUp: []float64{0, 0.74}}, bit1, 0},
+		{"clears below clearAt", Contention{TrunkUp: []float64{0, 0.74}}, bit1, 0},
 		{"downlink pressure counts", Contention{TrunkDown: []float64{0, 0, 1.3}}, 0, bit2},
 		{"root rack never masked", Contention{TrunkUp: []float64{99, 0, 0}}, 0, 0},
 		{"independent racks", Contention{TrunkUp: []float64{0, 1.5, 0.8}}, bit2, bit1 | bit2},
@@ -291,7 +291,7 @@ func TestDecideMaskHysteresis(t *testing.T) {
 		want uint64
 	}{
 		{"idle", Contention{HostTx: 1, HostRx: 1}, 0, 0},
-		{"enters at HostBusyAt", Contention{HostRx: 3}, 0, flatHotBit},
+		{"enters at hostBusyAt", Contention{HostRx: 3}, 0, flatHotBit},
 		{"stall alone enters", Contention{CreditStall: 0.5}, 0, flatHotBit},
 		{"holds inside the band", Contention{HostTx: 1.6}, flatHotBit, flatHotBit},
 		{"residual stall holds", Contention{HostTx: 1, CreditStall: 0.3}, flatHotBit, flatHotBit},
@@ -304,10 +304,9 @@ func TestDecideMaskHysteresis(t *testing.T) {
 	}
 }
 
-// TestAdaptiveBlockSizeAndReplanPolicy pins the remaining policy surface:
-// block-size scaling only engages under a non-zero mask, and ReplanPolicy
-// reports the configured (or default) re-plan gate.
-func TestAdaptiveBlockSizeAndReplanPolicy(t *testing.T) {
+// TestAdaptiveBlockSize pins block-size scaling: it only engages under a
+// non-zero mask.
+func TestAdaptiveBlockSize(t *testing.T) {
 	gen := AdaptiveGen{}
 	if got := gen.AdaptiveBlockSize(1<<20, 0); got != 1<<20 {
 		t.Errorf("mask-0 block size = %d, want the base", got)
@@ -317,18 +316,6 @@ func TestAdaptiveBlockSizeAndReplanPolicy(t *testing.T) {
 	}
 	if got := gen.AdaptiveBlockSize(0, 1<<1); got != 0 {
 		t.Errorf("zero base scaled to %d", got)
-	}
-	one := AdaptiveGen{Policy: AdaptivePolicy{BlockScale: 1}}
-	if got := one.AdaptiveBlockSize(1<<20, 1<<1); got != 1<<20 {
-		t.Errorf("BlockScale 1 scaled the base to %d", got)
-	}
-
-	if on, min := gen.ReplanPolicy(); on || min != 8 {
-		t.Errorf("default ReplanPolicy = (%v, %d), want (false, 8)", on, min)
-	}
-	tuned := AdaptiveGen{Policy: AdaptivePolicy{Replan: true, MinReplanBlocks: 4}}
-	if on, min := tuned.ReplanPolicy(); !on || min != 4 {
-		t.Errorf("tuned ReplanPolicy = (%v, %d), want (true, 4)", on, min)
 	}
 }
 

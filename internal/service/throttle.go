@@ -176,8 +176,8 @@ func (t *WFQThrottle) Acquire(g core.GroupID, bytes int, resume func()) bool {
 			t.setGauge()
 			return true
 		}
-		// The group re-planned between wakeup and re-Acquire (block size
-		// changed); refund the reservation and fall through to the normal
+		// The group's next send changed size between wakeup and re-Acquire
+		// (a new transfer at another block size); refund the reservation and fall through to the normal
 		// admission path with the real size.
 		t.inFlight -= gr.bytes
 		gr.class.served -= float64(gr.bytes) / float64(gr.class.weight)

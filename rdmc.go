@@ -59,7 +59,7 @@ const (
 	// signal: uncontended groups run the static plan (hybrid when RackOf is
 	// set, binomial pipeline otherwise) bit-for-bit, while saturated trunks
 	// reroute leader traffic around the hot rack and host contention falls
-	// back to a chain. Tune with GroupConfig.Adaptive.
+	// back to a chain.
 	Adaptive
 )
 
@@ -90,44 +90,6 @@ func (a Algorithm) base() schedule.Algorithm {
 	}
 }
 
-// AdaptivePolicy tunes the Adaptive algorithm. Every field's zero value
-// selects a sensible default, so AdaptivePolicy{} works out of the box.
-type AdaptivePolicy struct {
-	// SaturateAt is the trunk demand/capacity pressure at which a rack
-	// counts as saturated and its leader traffic is rerouted; ClearAt is
-	// the pressure below which it recovers (hysteresis band). Defaults
-	// 1.25 and 0.75.
-	SaturateAt float64
-	ClearAt    float64
-	// HostBusyAt is the per-NIC-port concurrent flow count at which a flat
-	// fabric counts as contended and the plan falls back to a chain
-	// (default 3). StallBusyAt is the credit-stall fraction with the same
-	// effect (default 0.5).
-	HostBusyAt  float64
-	StallBusyAt float64
-	// BlockScale multiplies the block size while contention is detected
-	// (default 2); 1 disables block-size adaptation.
-	BlockScale int
-	// Replan enables switching the remaining blocks of an in-flight
-	// transfer to a new plan when the signal shifts mid-transfer.
-	Replan bool
-	// MinReplanBlocks is the minimum remaining block count for which a
-	// mid-transfer re-plan engages (default 8).
-	MinReplanBlocks int
-}
-
-func (p AdaptivePolicy) schedulePolicy() schedule.AdaptivePolicy {
-	return schedule.AdaptivePolicy{
-		SaturateAt:      p.SaturateAt,
-		ClearAt:         p.ClearAt,
-		HostBusyAt:      p.HostBusyAt,
-		StallBusyAt:     p.StallBusyAt,
-		BlockScale:      p.BlockScale,
-		Replan:          p.Replan,
-		MinReplanBlocks: p.MinReplanBlocks,
-	}
-}
-
 // Callbacks notify the application of group events (the paper's Figure 1
 // callback pair plus failure notification).
 type Callbacks struct {
@@ -153,10 +115,6 @@ type GroupConfig struct {
 	// HybridBinomial and optional for Adaptive (without it the adaptive
 	// planner treats the fabric as flat).
 	RackOf []int
-	// Adaptive tunes the Adaptive algorithm's thresholds and re-planning;
-	// the zero value selects the defaults documented on AdaptivePolicy.
-	// Ignored by the static algorithms.
-	Adaptive AdaptivePolicy
 	// SendWindow is how many block sends each member keeps in flight
 	// concurrently; sends still post in schedule order. Zero selects the
 	// default of 4 (see the design notes in DESIGN.md).
@@ -182,7 +140,7 @@ func (c GroupConfig) coreConfig(cbs Callbacks) (core.GroupConfig, error) {
 		}
 		gen = schedule.HybridGen{RackOf: c.RackOf}
 	case c.Algorithm == Adaptive:
-		gen = schedule.AdaptiveGen{RackOf: c.RackOf, Policy: c.Adaptive.schedulePolicy()}
+		gen = schedule.AdaptiveGen{RackOf: c.RackOf}
 	case c.Algorithm.base() == schedule.Algorithm(0):
 		return core.GroupConfig{}, fmt.Errorf("rdmc: unknown algorithm %d", c.Algorithm)
 	default:
