@@ -38,7 +38,6 @@ import (
 	"rdmc/internal/bench"
 	"rdmc/internal/obs"
 	"rdmc/internal/scenario"
-	"rdmc/internal/schedule"
 )
 
 func main() {
@@ -74,17 +73,8 @@ func run(args []string) error {
 	if *metrics != "" || *tracefile != "" {
 		sink = obs.New(0)
 		bench.SetObserver(sink)
-		r := sink.Registry()
-		schedule.SetMetrics(&schedule.Metrics{
-			FastPath:   r.Counter("schedule.nodeplan_fast"),
-			CacheHit:   r.Counter("schedule.plan_cache_hits"),
-			CacheMiss:  r.Counter("schedule.plan_cache_misses"),
-			CacheSize:  r.Gauge("schedule.plan_cache_size"),
-			CacheEvict: r.Counter("schedule.plan_cache_evictions"),
-		})
 		defer func() {
 			bench.SetObserver(nil)
-			schedule.SetMetrics(nil)
 			if err := writeObs(sink, *metrics, *tracefile); err != nil {
 				fmt.Fprintf(os.Stderr, "rdmcbench: %v\n", err)
 			}

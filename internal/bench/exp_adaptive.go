@@ -154,7 +154,7 @@ func AdaptiveScheduling(scale Scale) Report {
 	}
 	if uncontendedAdaptive == uncontendedHybrid {
 		r.Notes = append(r.Notes, fmt.Sprintf(
-			"uncontended adaptive matches static hybrid cell-for-cell (%s Gb/s): mask 0 shares the hybrid's plan cache entries", uncontendedAdaptive))
+			"uncontended adaptive matches static hybrid cell-for-cell (%s Gb/s): mask 0 runs the hybrid's plan", uncontendedAdaptive))
 	} else {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"MISMATCH: uncontended adaptive %s Gb/s != static hybrid %s Gb/s", uncontendedAdaptive, uncontendedHybrid))

@@ -12,13 +12,11 @@ import (
 // tenants`: a 512-node Fractus fabric where every group is rooted at node 0
 // (the service front-end, so one NIC port is genuinely contended), a heavy
 // tenant replicates 2 MiB objects and a light tenant 64 KiB objects, each to
-// 4 random replicas drawn from the other 511 nodes (5-member groups — a
-// non-power-of-two size, so every group shares the process-wide circulant
-// plan cache and the resident-table count must stay flat while the group
-// count passes 1000). Arrivals are closed-loop
-// with 96 writes outstanding — far beyond what the root's port can carry,
-// which is the overload the QoS layer exists for. With >1000 writes the
-// k-of-n draws produce >1000 distinct overlapping groups, all pre-created.
+// 4 random replicas drawn from the other 511 nodes (5-member groups).
+// Arrivals are closed-loop with 96 writes outstanding — far beyond what the
+// root's port can carry, which is the overload the QoS layer exists for.
+// With >1000 writes the k-of-n draws produce >1000 distinct overlapping
+// groups, all pre-created.
 func tenantsConfig(writes, throttleBytes int) scenario.Config {
 	groups := &scenario.GroupConfig{Kind: scenario.GroupKofN, K: 4, N: 511, Base: 1, Root: []int{0}}
 	return scenario.Config{
@@ -87,9 +85,7 @@ func jainIndex(x []float64) float64 {
 // 512 KiB weighted-fair send budget (the service layer's QoS path, 3:1 in
 // the light tenant's favor) — reporting per-tenant p50/p90/p99 and a Jain
 // fairness index instead of only aggregate throughput. The claim under test:
-// QoS-on bounds the heavy tenant's impact on the light tenant's p99. The
-// plan-cache note pins the other service-layer invariant, a flat resident
-// plan count across thousands of distinct groups.
+// QoS-on bounds the heavy tenant's impact on the light tenant's p99.
 func TenantsQoS(scale Scale) Report {
 	writes := 3000
 	if scale == Quick {
@@ -147,11 +143,8 @@ func TenantsQoS(scale Scale) Report {
 		return outcome{res: res, cfg: cfg, groups: len(scenarioGroups(cfg, stream)), jain: jainIndex(norm)}
 	}
 
-	cacheBefore := schedule.PlanCacheSize()
 	off := run("off", 0)
-	cacheOff := schedule.PlanCacheSize()
 	on := run("on", throttleBytes)
-	cacheOn := schedule.PlanCacheSize()
 
 	offP99 := tenantP99(off.res.byTenant["light"])
 	onP99 := tenantP99(on.res.byTenant["light"])
@@ -159,7 +152,6 @@ func TenantsQoS(scale Scale) Report {
 		fmt.Sprintf("light p99: qos-off %sms, qos-on %sms, ratio %s (on must not exceed off)",
 			ms(offP99), ms(onP99), f2(onP99/offP99)),
 		fmt.Sprintf("jain fairness (goodput/weight): qos-off %s, qos-on %s", f2(off.jain), f2(on.jain)),
-		fmt.Sprintf("plan cache resident: %d before, %d after qos-off, %d after qos-on", cacheBefore, cacheOff, cacheOn),
 		fmt.Sprintf("groups: %d distinct on %d nodes, seed %d", on.groups, on.cfg.Nodes, on.cfg.Seed),
 	)
 	return r

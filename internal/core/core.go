@@ -33,13 +33,7 @@
 // *Locked method — must not call Engine.Close, CreateGroup, or any other
 // path that takes the gate; application callbacks are returned out of the
 // *Locked methods and run after the group lock is released precisely so they
-// may re-enter the engine freely. Schedule planning (Group.nodePlan) may
-// consult the schedule package's process-wide plan cache while holding a
-// Group.mu: that cache synchronizes only on its own sync.Map and per-entry
-// sync.Once — it never touches engine or group locks — so the first member
-// to need a plan computes it while any concurrent member blocks on the
-// entry's Once, and no lock-order edge to Engine.mu or another Group.mu is
-// created.
+// may re-enter the engine freely.
 package core
 
 import (
@@ -101,9 +95,8 @@ type CtrlMsg struct {
 	Total int
 	OK    bool
 	// Count batches readiness credit on CtrlReadyBlock: the receiver has
-	// posted Count more receives for the sender's scheduled transfers, of
-	// which (Round, Block) is the first. Zero means one (a legacy
-	// single-block notice).
+	// posted Count (at least one) more receives for the sender's scheduled
+	// transfers, of which (Round, Block) is the first.
 	Count int
 	// Mask carries the adaptive contention bucket on CtrlPrepare: the mask
 	// the root planned the transfer under. Zero (the static case) selects
@@ -200,11 +193,7 @@ func NewEngine(provider rdma.Provider, ctrl Control, host Host) *Engine {
 		ctrl:     ctrl,
 		host:     host,
 	}
-	if bp, ok := provider.(rdma.BatchProvider); ok {
-		bp.SetBatchHandler(e.onCompletionBatch)
-	} else {
-		provider.SetHandler(e.onCompletion)
-	}
+	provider.SetBatchHandler(e.onCompletionBatch)
 	ctrl.SetHandler(e.onCtrl)
 	return e
 }
@@ -368,27 +357,15 @@ func (e *Engine) group(id GroupID) *Group {
 	return nil
 }
 
-// onCompletion is the engine's single completion handler (the paper's shared
-// completion thread). It routes by the group bits of the completion token
-// and serializes only against that group.
-func (e *Engine) onCompletion(c rdma.Completion) {
-	g := e.group(GroupID(c.Token >> 32))
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	cbs := g.onCompletionLocked(c)
-	g.mu.Unlock()
-	runAll(cbs)
-}
-
-// onCompletionBatch consumes a drained slice of completions (providers that
-// implement rdma.BatchProvider). Completions stay in order; consecutive
-// completions for the same group — the common case when a send window keeps
-// several blocks in flight on one group — are processed under one
-// acquisition of that group's lock instead of one per completion. Callbacks
-// surfaced by a run still fire before the next run's lock is taken, so the
-// observable callback order matches per-completion dispatch.
+// onCompletionBatch is the engine's single completion handler (the paper's
+// shared completion thread): it consumes a drained slice of completions,
+// routes each by the group bits of its token, and serializes only against
+// that group. Completions stay in order; consecutive completions for the
+// same group — the common case when a send window keeps several blocks in
+// flight on one group — are processed under one acquisition of that group's
+// lock instead of one per completion. Callbacks surfaced by a run still fire
+// before the next run's lock is taken, so the observable callback order
+// matches per-completion dispatch.
 func (e *Engine) onCompletionBatch(batch []rdma.Completion) {
 	for i := 0; i < len(batch); {
 		id := GroupID(batch[i].Token >> 32)

@@ -3,10 +3,12 @@ package core_test
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"rdmc/internal/core"
+	"rdmc/internal/obs"
 	"rdmc/internal/rdma"
 	"rdmc/internal/rdma/simnic"
 	"rdmc/internal/schedule"
@@ -202,6 +204,142 @@ func TestCloseAckFromNonMemberIgnored(t *testing.T) {
 	}
 }
 
+// TestStaleCreditDropped injects ready-for-block frames no sender emits into
+// a root: credit for the sequence it has already delivered, for a negative
+// sequence, and a zero or negative count for the next sequence. None may be
+// credited (each would leave a credit entry that delivery never clears).
+// Credit for a sequence not started yet stays legitimate — a fast receiver
+// sends it — and the group must then carry a second message intact.
+func TestStaleCreditDropped(t *testing.T) {
+	r := newCtrlRig(t, 3)
+	sink := obs.New(1 << 12)
+	r.engines[0].SetObserver(sink)
+	credits := sink.Registry().Counter("core.ready_credits")
+	const bs = 1 << 10
+	groups, states := r.group(t, 3, core.GroupConfig{BlockSize: bs}, 1<<20)
+
+	rng := rand.New(rand.NewSource(11))
+	msgs := [][]byte{make([]byte, 4*bs), make([]byte, 6*bs+5)}
+	rng.Read(msgs[0])
+	rng.Read(msgs[1])
+	if err := groups[0].Send(msgs[0]); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run()
+
+	before := credits.Load()
+	for _, m := range []core.CtrlMsg{
+		{Seq: 0, Count: 1},
+		{Seq: -1, Count: 1},
+		{Seq: 1, Count: 0},
+		{Seq: 1, Count: -3},
+		{Seq: 5, Count: 1}, // a future sequence: credited
+	} {
+		m.Kind, m.Group = core.CtrlReadyBlock, 1
+		r.inject(1, 0, m)
+	}
+	r.sim.Run()
+	if got := credits.Load() - before; got != 1 {
+		t.Fatalf("root credited %d from the injected frames, want 1 (the future sequence only)", got)
+	}
+
+	if err := groups[0].Send(msgs[1]); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run()
+	checkDelivered(t, states, msgs)
+}
+
+// checkDelivered asserts every member delivered exactly msgs, intact, with no
+// failure.
+func checkDelivered(t *testing.T, states []*receiverState, msgs [][]byte) {
+	t.Helper()
+	for i, st := range states {
+		if len(st.failures) != 0 {
+			t.Fatalf("member %d failed: %v", i, st.failures)
+		}
+		if len(st.delivered) != len(msgs) {
+			t.Fatalf("member %d delivered %d messages, want %d", i, len(st.delivered), len(msgs))
+		}
+		for seq, msg := range msgs {
+			if !bytes.Equal(st.delivered[seq], msg) {
+				t.Fatalf("member %d: message %d corrupt", i, seq)
+			}
+		}
+	}
+}
+
+// stubSampler reports whatever contention the test last set.
+type stubSampler struct{ c schedule.Contention }
+
+func (s *stubSampler) SampleContention() schedule.Contention { return s.c }
+
+// TestPlanMemoHoldsOnePlan drives a 3-member group (a non-power-of-two size,
+// so members build the circulant plan) through message sizes A, A, B, A, and
+// an adaptive group through contention masks 0, 0, m, 0. Each member's plan
+// memo misses the first transfer, then hits, misses, misses: it keeps only
+// the previous transfer's plan. Every message must arrive intact.
+func TestPlanMemoHoldsOnePlan(t *testing.T) {
+	const bs = 1 << 10
+	for _, tc := range []struct {
+		name     string
+		gen      schedule.Generator
+		sizes    []int
+		pressure []float64 // rack 1's trunk pressure, sampled by the root per transfer
+	}{
+		{"sizes", nil, []int{10 * bs, 10 * bs, 3*bs + 1, 10 * bs}, nil},
+		{"masks", schedule.AdaptiveGen{RackOf: []int{0, 0, 1}}, []int{10 * bs, 10 * bs, 10 * bs, 10 * bs}, []float64{0, 0, 2, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newCtrlRig(t, 3)
+			sink := obs.New(1 << 14)
+			for _, e := range r.engines {
+				e.SetObserver(sink)
+			}
+			sampler := &stubSampler{}
+			if tc.pressure != nil {
+				r.engines[0].SetContentionSampler(sampler)
+			}
+			groups, states := r.group(t, 3, core.GroupConfig{BlockSize: bs, Generator: tc.gen}, 1<<20)
+			hits := sink.Registry().Counter("core.plan_cache_hits")
+			misses := sink.Registry().Counter("core.plan_cache_misses")
+
+			want := [][2]uint64{{0, 1}, {1, 1}, {1, 2}, {1, 3}} // cumulative per member
+			rng := rand.New(rand.NewSource(13))
+			var msgs [][]byte
+			for i, size := range tc.sizes {
+				if tc.pressure != nil {
+					sampler.c = schedule.Contention{TrunkUp: []float64{0, tc.pressure[i]}}
+				}
+				msg := make([]byte, size)
+				rng.Read(msg)
+				msgs = append(msgs, msg)
+				if err := groups[0].Send(msg); err != nil {
+					t.Fatal(err)
+				}
+				r.sim.Run()
+				if h, m := hits.Load(), misses.Load(); h != 3*want[i][0] || m != 3*want[i][1] {
+					t.Fatalf("after transfer %d: plan memo hits/misses = %d/%d over 3 members, want %d/%d",
+						i, h, m, 3*want[i][0], 3*want[i][1])
+				}
+			}
+			checkDelivered(t, states, msgs)
+
+			if tc.pressure != nil {
+				var masks []int64
+				for _, e := range sink.Ring().Snapshot() {
+					if e.Kind == obs.EvContentionSample {
+						masks = append(masks, e.Arg)
+					}
+				}
+				if want := []int64{0, 0, 1 << 1, 0}; !reflect.DeepEqual(masks, want) {
+					t.Fatalf("root planned under masks %v, want %v", masks, want)
+				}
+			}
+		})
+	}
+}
+
 // FuzzEngineCtrl injects one arbitrary control message, from any node to any
 // member, into a live 3-member group that is carrying a message and running
 // its close barrier. Whatever the frame says, no engine may panic.
@@ -210,6 +348,9 @@ func FuzzEngineCtrl(f *testing.F) {
 	// member, and an OK close-ack from a node outside the group.
 	f.Add(uint8(0), uint8(1), int(core.CtrlPrepare), 0, int64(0), 0, 0, 0, 0, uint32(0), false, uint64(0), 1<<20)
 	f.Add(uint8(3), uint8(0), int(core.CtrlCloseAck), 0, int64(0), 0, 0, 0, 0, uint32(3), true, uint64(0), 0)
+	// Credit frames no sender emits: a negative sequence, and a zero count.
+	f.Add(uint8(1), uint8(0), int(core.CtrlReadyBlock), -1, int64(0), 0, 0, 1, 0, uint32(0), false, uint64(0), 0)
+	f.Add(uint8(1), uint8(0), int(core.CtrlReadyBlock), 0, int64(0), 0, 0, 0, 0, uint32(0), false, uint64(0), 0)
 	f.Fuzz(func(t *testing.T, from, to uint8, kind, seq int, size int64, round, block, count, total int,
 		node uint32, ok bool, mask uint64, bs int) {
 		r := newCtrlRig(t, 4)

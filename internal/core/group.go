@@ -87,7 +87,7 @@ type Group struct {
 	// a cumulative count is enough to agree on which blocks are licensed,
 	// and counts let receivers batch several notices into one message.
 	readyCounts map[readyKey]int
-	planCache   map[planCacheKey]schedule.NodePlan
+	lastPlan    planMemo
 
 	// Adaptive scheduling state (see adaptive.go). lastMask is the root's
 	// previous plan decision, fed back into the hysteresis; the stall/post
@@ -459,9 +459,6 @@ type queuedNotice struct {
 // notices are merged into the deferral queue while a completion batch runs.
 func (g *Group) ctrlTo(rank int, m CtrlMsg) {
 	if g.noticeDefer && m.Kind == CtrlReadyBlock {
-		if m.Count <= 0 {
-			m.Count = 1
-		}
 		for i := range g.noticeQ {
 			if q := &g.noticeQ[i]; q.rank == rank && q.m.Seq == m.Seq {
 				q.m.Count += m.Count
@@ -565,22 +562,20 @@ func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 		if g.state != stateActive {
 			return nil
 		}
-		fromRank := g.rankOf(from)
-		if fromRank < 0 {
-			return nil
-		}
 		// Credit the notice: it may concern a sequence this node has not
 		// started yet (a receiver that finished the previous message and
-		// prepared the next while this relayer is still draining). Count
-		// carries batched credit; legacy single notices carry zero.
-		inc := m.Count
-		if inc <= 0 {
-			inc = 1
+		// prepared the next while this relayer is still draining). No sender
+		// emits a notice for a sequence already delivered here, or one
+		// carrying no credit; crediting such a frame would leave a
+		// readyCounts entry that delivery never clears, so it is dropped.
+		fromRank := g.rankOf(from)
+		if fromRank < 0 || m.Seq < g.delivered || m.Count <= 0 {
+			return nil
 		}
-		g.readyCounts[readyKey{seq: m.Seq, to: fromRank}] += inc
+		g.readyCounts[readyKey{seq: m.Seq, to: fromRank}] += m.Count
 		if eo := g.engine.eobs; eo != nil {
-			eo.credits.Add(uint64(inc))
-			eo.record(g.engine.host.Now(), obs.EvCreditUpdate, g.id, m.Seq, m.Block, fromRank, int64(inc))
+			eo.credits.Add(uint64(m.Count))
+			eo.record(g.engine.host.Now(), obs.EvCreditUpdate, g.id, m.Seq, m.Block, fromRank, int64(m.Count))
 		}
 		if g.current != nil && g.current.seq == m.Seq {
 			return g.current.pumpSendsLocked()

@@ -48,8 +48,8 @@ type engineObs struct {
 	blocksSent *obs.Counter // block sends posted
 	blocksRecv *obs.Counter // block receives completed
 	delivered  *obs.Counter // messages locally delivered
-	planHit    *obs.Counter // group-local plan cache hits
-	planMiss   *obs.Counter // group-local plan cache misses
+	planHit    *obs.Counter // plan memo hits (transfer shaped like the previous one)
+	planMiss   *obs.Counter // plan memo misses (plan built)
 
 	batchRun *obs.Histogram // same-group run length inside a completion batch
 	msgBytes *obs.Histogram // delivered message sizes

@@ -89,34 +89,32 @@ func newTransfer(g *Group, pm pendingMsg) *transfer {
 	return t
 }
 
-// planCacheKey identifies one cached rank plan: the block count plus the
-// adaptive contention bucket the plan was conditioned on (always zero for
-// static generators, so their cache behavior is unchanged).
-type planCacheKey struct {
-	k    int
+// planMemo is a group's one-entry plan memo: this member's plan for the
+// previous transfer, reused when the next one has the same block count and
+// contention mask — the common case of a group re-sending like-sized
+// objects. Holding one entry keeps it bounded however many distinct sizes
+// a root announces.
+type planMemo struct {
+	k    int // zero until the first plan: a transfer has at least one block
 	mask uint64
+	np   schedule.NodePlan
 }
 
-// nodePlan computes (and caches per block count and contention bucket) this
-// member's slice of the group's schedule. It uses the generator's rank-local
-// fast path — the closed-form generators answer in O(l+k) without ever
-// materializing the global transfer list; the rest resolve through the
-// schedule package's process-wide plan cache, so co-located members of the
-// same geometry share one immutable table instead of each recomputing the
-// plan. Adaptive generators plan through their mask-conditioned entry point;
-// the mask a transfer runs under is decided once by the root and shipped in
-// the prepare message, so every member resolves the same (k, mask) key.
+// nodePlan returns this member's slice of the group's schedule for a k-block
+// transfer under the given mask, from the memo when the previous transfer
+// had the same shape. It uses the generator's rank-local path: the
+// closed-form generators answer in O(l+k) without ever materializing the
+// global transfer list; the rest build the plan and keep this rank's
+// transfers. Adaptive generators plan through their mask-conditioned entry
+// point; the mask a transfer runs under is decided once by the root and
+// shipped in the prepare message, so every member plans the same shape.
 func (g *Group) nodePlan(k int, mask uint64) schedule.NodePlan {
-	if g.planCache == nil {
-		g.planCache = make(map[planCacheKey]schedule.NodePlan)
-	}
-	key := planCacheKey{k: k, mask: mask}
-	if np, ok := g.planCache[key]; ok {
+	if m := &g.lastPlan; m.k == k && m.mask == mask {
 		if eo := g.engine.eobs; eo != nil {
 			eo.planHit.Inc()
 			eo.record(g.engine.host.Now(), obs.EvPlanCacheHit, g.id, -1, -1, -1, int64(k))
 		}
-		return np
+		return m.np
 	}
 	var np schedule.NodePlan
 	if ap, ok := g.cfg.Generator.(schedule.AdaptivePlanner); ok {
@@ -124,7 +122,7 @@ func (g *Group) nodePlan(k int, mask uint64) schedule.NodePlan {
 	} else {
 		np = g.cfg.Generator.NodePlan(len(g.members), k, g.rank)
 	}
-	g.planCache[key] = np
+	g.lastPlan = planMemo{k: k, mask: mask, np: np}
 	if eo := g.engine.eobs; eo != nil {
 		eo.planMiss.Inc()
 		eo.record(g.engine.host.Now(), obs.EvPlanCacheMiss, g.id, -1, -1, -1, int64(k))

@@ -52,7 +52,7 @@ func (c *Counter) Load() uint64 {
 }
 
 // Gauge is an instantaneous level — a value that goes up and down, like the
-// number of resident plan-cache entries or queued bytes. The zero value is
+// number of in-flight bytes or queued bytes. The zero value is
 // ready to use; a nil *Gauge discards every operation, matching Counter's
 // disabled-instrumentation fast path.
 type Gauge struct {

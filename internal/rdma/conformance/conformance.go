@@ -296,14 +296,9 @@ func (s *batchSink) waitN(t *testing.T, h *Harness, n int) []rdma.Completion {
 // this deterministic workload, so the engine may treat batch boundaries as
 // pure framing.
 func testBatchDispatch(t *testing.T, h *Harness) {
-	ba, aOK := h.A.(rdma.BatchProvider)
-	bb, bOK := h.B.(rdma.BatchProvider)
-	if !aOK || !bOK {
-		t.Fatalf("provider does not implement rdma.BatchProvider (A %v, B %v)", aOK, bOK)
-	}
 	sa, sb := &batchSink{}, &batchSink{}
-	ba.SetBatchHandler(sa.handle)
-	bb.SetBatchHandler(sb.handle)
+	h.A.SetBatchHandler(sa.handle)
+	h.B.SetBatchHandler(sb.handle)
 	qa, qb := connect(t, h, 9)
 
 	const n = 24

@@ -59,7 +59,7 @@ func (b *Base) NodeID() rdma.NodeID { return b.id }
 // SetHandler implements rdma.Provider.
 func (b *Base) SetHandler(h func(rdma.Completion)) { b.cq.SetHandler(h) }
 
-// SetBatchHandler implements rdma.BatchProvider: completions are drained to
+// SetBatchHandler implements rdma.Provider: completions are drained to
 // the handler in slices (ring-mode dispatch) or in the batches the producer
 // posted (event-mode dispatch), replacing any per-completion handler.
 func (b *Base) SetBatchHandler(h func([]rdma.Completion)) { b.cq.SetBatchHandler(h) }

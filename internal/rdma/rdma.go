@@ -100,7 +100,8 @@ func SizeBuffer(n int) Buffer { return Buffer{Len: n} }
 
 // Completion reports the outcome of one work request. Completions for a node
 // are delivered serially, in order, to the handler installed with SetHandler
-// — the analogue of the paper's single shared completion queue and thread.
+// or SetBatchHandler — the analogue of the paper's single shared completion
+// queue and thread.
 type Completion struct {
 	// Op is the kind of work request that completed.
 	Op OpType
@@ -171,6 +172,15 @@ type Provider interface {
 	// SetHandler installs the completion consumer. It must be set before
 	// the first work request is posted and is invoked serially.
 	SetHandler(h func(Completion))
+	// SetBatchHandler installs a consumer of drained completion batches in
+	// place of any per-completion handler. It receives non-empty slices in
+	// the same serial order SetHandler's consumer would observe; a slice is
+	// valid only for the duration of the call (the dispatcher reuses it).
+	// Batching exists for lock amortization: the RDMC engine routes
+	// completions to per-group state machines behind per-group locks, and a
+	// batch lets it take each lock once per drained run instead of once per
+	// block.
+	SetBatchHandler(h func([]Completion))
 	// RegisterRegion makes buf addressable by peers' one-sided writes.
 	RegisterRegion(id RegionID, buf []byte) error
 	// Region returns a registered region's memory (nil if unknown).
@@ -181,20 +191,6 @@ type Provider interface {
 	WatchRegion(id RegionID, fn func(offset, length int)) error
 	// Close releases the provider; all queue pairs break.
 	Close() error
-}
-
-// BatchProvider is optionally implemented by providers whose completion
-// dispatch can drain several completions per wakeup. A consumer that installs
-// a batch handler receives non-empty slices in the same serial order the
-// per-completion handler would have observed; the slice is only valid for the
-// duration of the call (the dispatcher reuses it). Installing a batch handler
-// replaces any per-completion handler.
-//
-// Batching exists for lock amortization: the RDMC engine routes completions
-// to per-group state machines behind per-group locks, and a batch lets it
-// take each lock once per drained run instead of once per block.
-type BatchProvider interface {
-	SetBatchHandler(h func([]Completion))
 }
 
 // Errors shared by providers.

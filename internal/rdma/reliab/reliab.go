@@ -173,10 +173,7 @@ type Provider struct {
 	closed     bool
 }
 
-var (
-	_ rdma.Provider      = (*Provider)(nil)
-	_ rdma.BatchProvider = (*Provider)(nil)
-)
+var _ rdma.Provider = (*Provider)(nil)
 
 // Wrap layers reliability over inner. The wrapper installs itself as inner's
 // completion consumer, so it must be created before any completion handler or
@@ -189,11 +186,7 @@ func Wrap(inner rdma.Provider, cfg Config) *Provider {
 		qps:   make(map[qpKey]*queuePair),
 	}
 	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
-	if bp, ok := inner.(rdma.BatchProvider); ok {
-		bp.SetBatchHandler(p.onInnerBatch)
-	} else {
-		inner.SetHandler(func(c rdma.Completion) { p.onInnerBatch([]rdma.Completion{c}) })
-	}
+	inner.SetBatchHandler(p.onInnerBatch)
 	return p
 }
 
@@ -214,7 +207,7 @@ func (p *Provider) SetHandler(h func(rdma.Completion)) {
 	p.mu.Unlock()
 }
 
-// SetBatchHandler implements rdma.BatchProvider.
+// SetBatchHandler implements rdma.Provider.
 func (p *Provider) SetBatchHandler(h func([]rdma.Completion)) {
 	p.mu.Lock()
 	p.batch, p.handler = h, nil

@@ -291,7 +291,6 @@ func (q *queuePair) writer(conn net.Conn) {
 			q.breakConn()
 			return
 		}
-		q.p.zeroCopySends.Add(zc)
 		q.p.obsZeroCopy.Add(zc)
 
 		q.mu.Lock()
@@ -609,7 +608,6 @@ func (fr *frameReader) specFrames(nl int) bool {
 			// stop speculating on this run.
 			fr.stashLayout(nil, leases, pstart+length, n)
 		}
-		q.p.directFrames.Add(1)
 		q.p.obsDirect.Inc()
 		rest := leases[j+1:]
 		q.settleLease()
@@ -686,7 +684,6 @@ func (fr *frameReader) plainFrame() bool {
 					return false
 				}
 				a.payload = wr.buf.Data[:length]
-				q.p.directFrames.Add(1)
 				q.p.obsDirect.Inc()
 			}
 			if err := q.completeRecv(wr, a); err != nil {
@@ -707,8 +704,6 @@ func (fr *frameReader) plainFrame() bool {
 				q.breakConn()
 				return false
 			}
-			q.p.stagedFrames.Add(1)
-			q.p.stagedBytes.Add(uint64(length))
 			q.p.obsStaged.Inc()
 			q.p.obsStagedBytes.Add(uint64(length))
 		}

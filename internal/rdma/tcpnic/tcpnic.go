@@ -40,7 +40,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"rdmc/internal/obs"
 	"rdmc/internal/rdma"
@@ -86,17 +85,6 @@ type Config struct {
 	Intra *shmnic.Exchange
 }
 
-// RecvCounters is a snapshot of the receive path's copy behavior: frames
-// that landed zero-copy (read straight into the posted buffer) versus frames
-// that staged through a pooled buffer because no receive was posted yet,
-// plus the bytes that staging copied. The conformance-adjacent tests and the
-// send-window benchmark use it to prove the fast path stays copy-free.
-type RecvCounters struct {
-	DirectFrames uint64
-	StagedFrames uint64
-	StagedBytes  uint64
-}
-
 // Provider is a TCP-backed NIC.
 type Provider struct {
 	nicbase.Base
@@ -104,13 +92,9 @@ type Provider struct {
 	pool nicbase.BufPool
 	wg   sync.WaitGroup
 
-	directFrames  atomic.Uint64
-	stagedFrames  atomic.Uint64
-	stagedBytes   atomic.Uint64
-	zeroCopySends atomic.Uint64
-
-	// Registry mirrors of the counters above plus the writer coalescing
-	// histogram; nil (the default) discards the updates. See SetObserver.
+	// Receive-path copy counters, zero-copy send counter and the writer
+	// coalescing histogram; nil (the default) discards the updates. See
+	// SetObserver.
 	obsDirect      *obs.Counter
 	obsStaged      *obs.Counter
 	obsStagedBytes *obs.Counter
@@ -118,23 +102,10 @@ type Provider struct {
 	obsCoalesce    *obs.Histogram
 }
 
-// ZeroCopySends returns how many frames the writers emitted referencing the
-// caller's memory directly (every non-virtual send and one-sided write).
-func (p *Provider) ZeroCopySends() uint64 { return p.zeroCopySends.Load() }
-
 // Pool exposes the provider's buffer pool so a co-hosted shared-memory
 // exchange (see package shmnic) can stage early arrivals through the same
 // size classes.
 func (p *Provider) Pool() *nicbase.BufPool { return &p.pool }
-
-// RecvStats returns the provider's receive-path copy counters.
-func (p *Provider) RecvStats() RecvCounters {
-	return RecvCounters{
-		DirectFrames: p.directFrames.Load(),
-		StagedFrames: p.stagedFrames.Load(),
-		StagedBytes:  p.stagedBytes.Load(),
-	}
-}
 
 var _ rdma.Provider = (*Provider)(nil)
 var _ shmnic.Host = (*Provider)(nil)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rdmc/internal/obs"
 	"rdmc/internal/rdma"
 	"rdmc/internal/rdma/shmnic"
 )
@@ -330,6 +331,7 @@ func TestLargeTransferIntegrity(t *testing.T) {
 // pooled buffer and pay a copy (staged).
 func TestRecvPathCounters(t *testing.T) {
 	a, b, sa, sb := newPair(t)
+	bc := counters(b)
 	qa, _ := a.Connect(1, 5)
 	qb, _ := b.Connect(0, 5)
 
@@ -349,9 +351,8 @@ func TestRecvPathCounters(t *testing.T) {
 		}
 	}
 	sb.waitN(t, pre)
-	stats := b.RecvStats()
-	if stats.DirectFrames != pre || stats.StagedFrames != 0 {
-		t.Fatalf("pre-posted phase: stats = %+v, want %d direct and 0 staged", stats, pre)
+	if direct, staged := bc("tcpnic.direct_frames"), bc("tcpnic.staged_frames"); direct != pre || staged != 0 {
+		t.Fatalf("pre-posted phase: %d direct, %d staged frames, want %d direct and 0 staged", direct, staged, pre)
 	}
 
 	// Phase 2: a send with no receive posted must stage.
@@ -360,7 +361,7 @@ func TestRecvPathCounters(t *testing.T) {
 	}
 	sa.waitN(t, pre+1)
 	deadline := time.Now().Add(10 * time.Second)
-	for b.RecvStats().StagedFrames == 0 {
+	for bc("tcpnic.staged_frames") == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("early arrival never staged")
 		}
@@ -373,10 +374,19 @@ func TestRecvPathCounters(t *testing.T) {
 	if !bytes.Equal(recvs[pre].Data, payload) {
 		t.Error("staged arrival corrupted")
 	}
-	stats = b.RecvStats()
-	if stats.DirectFrames != pre || stats.StagedFrames != 1 || stats.StagedBytes != uint64(len(payload)) {
-		t.Fatalf("staged phase: stats = %+v, want %d direct, 1 staged, %d staged bytes", stats, pre, len(payload))
+	direct, staged, stagedBytes := bc("tcpnic.direct_frames"), bc("tcpnic.staged_frames"), bc("tcpnic.staged_bytes")
+	if direct != pre || staged != 1 || stagedBytes != uint64(len(payload)) {
+		t.Fatalf("staged phase: %d direct, %d staged frames, %d staged bytes; want %d direct, 1 staged, %d staged bytes",
+			direct, staged, stagedBytes, pre, len(payload))
 	}
+}
+
+// counters installs a fresh observer on p, before any traffic, and returns a
+// reader of its counters by name.
+func counters(p *Provider) func(name string) uint64 {
+	o := obs.New(1 << 10)
+	p.SetObserver(o)
+	return func(name string) uint64 { return o.Registry().Counter(name).Load() }
 }
 
 // TestZeroCopySendCounter proves sends and one-sided writes leave through
@@ -384,6 +394,7 @@ func TestRecvPathCounters(t *testing.T) {
 // frame bumps the zero-copy counter, and virtual frames do not.
 func TestZeroCopySendCounter(t *testing.T) {
 	a, b, sa, sb := newPair(t)
+	ac := counters(a)
 	qa, _ := a.Connect(1, 6)
 	qb, _ := b.Connect(0, 6)
 
@@ -406,8 +417,8 @@ func TestZeroCopySendCounter(t *testing.T) {
 	}
 	sa.waitN(t, sends+1)
 	sb.waitN(t, sends)
-	if got := a.ZeroCopySends(); got != sends+1 {
-		t.Errorf("ZeroCopySends = %d, want %d (each real send and write)", got, sends+1)
+	if got := ac("tcpnic.zero_copy_sends"); got != sends+1 {
+		t.Errorf("zero-copy sends = %d, want %d (each real send and write)", got, sends+1)
 	}
 
 	// A virtual send moves no payload bytes, so nothing to zero-copy.
@@ -418,8 +429,8 @@ func TestZeroCopySendCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	sb.waitN(t, sends+1)
-	if got := a.ZeroCopySends(); got != sends+1 {
-		t.Errorf("ZeroCopySends after virtual send = %d, want %d", got, sends+1)
+	if got := ac("tcpnic.zero_copy_sends"); got != sends+1 {
+		t.Errorf("zero-copy sends after virtual send = %d, want %d", got, sends+1)
 	}
 }
 
@@ -541,6 +552,7 @@ func TestIntraHostRoutingUsesSharedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ac, bc := counters(a), counters(b)
 	sa, sb := newSink(), newSink()
 	a.SetHandler(sa.handle)
 	b.SetHandler(sb.handle)
@@ -575,10 +587,10 @@ func TestIntraHostRoutingUsesSharedMemory(t *testing.T) {
 
 	// The megabyte moved without touching the socket data plane: no frames
 	// were read on either side, and the writers emitted nothing.
-	if s := b.RecvStats(); s.DirectFrames != 0 || s.StagedFrames != 0 {
-		t.Errorf("TCP receive path saw frames despite intra-host routing: %+v", s)
+	if direct, staged := bc("tcpnic.direct_frames"), bc("tcpnic.staged_frames"); direct != 0 || staged != 0 {
+		t.Errorf("TCP receive path saw %d direct and %d staged frames despite intra-host routing", direct, staged)
 	}
-	if zc := a.ZeroCopySends(); zc != 0 {
+	if zc := ac("tcpnic.zero_copy_sends"); zc != 0 {
 		t.Errorf("TCP writer emitted %d frames despite intra-host routing", zc)
 	}
 }

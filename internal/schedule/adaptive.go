@@ -1,17 +1,13 @@
 package schedule
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // This file implements the congestion- and topology-aware adaptive planner
 // (ROADMAP item 2). The static generators fix the multicast shape at group
 // creation; AdaptiveGen instead picks the shape — binomial pipeline vs chain
 // vs hybrid — and the tree's routing per transfer from a measured contention
-// signal, quantized into a small "contention bucket" (the mask below) so the
-// single-flight plan cache still collapses concurrent planning to one
-// computation per distinct bucket.
+// signal, quantized into a small "contention bucket" (the mask below) so a
+// noisy signal maps to a handful of distinct plans.
 //
 // The signal itself is sampled by the engine (internal/core) from the fabric
 // (simnet's fluid model) and its own credit-stall counters; the planner here
@@ -97,8 +93,8 @@ type AdaptivePlanner interface {
 //   - flat fabric, mask 0: the binomial pipeline (the paper's default);
 //   - flat fabric, host-contended: the chain, which adds the least load per
 //     NIC port when ports are already shared;
-//   - rack topology, mask 0: exactly HybridGen's plan (same cache entries,
-//     so the uncontended adaptive group is bit-identical to static hybrid);
+//   - rack topology, mask 0: exactly HybridGen's plan, so the uncontended
+//     adaptive group is bit-identical to static hybrid;
 //   - rack topology, saturated racks: a sheltered hybrid that routes leader
 //     edges around the saturated TOR trunks — saturated racks' leaders are
 //     demoted from the leader-level pipeline to leaf consumers fed by a
@@ -188,8 +184,7 @@ func (a AdaptiveGen) DecideMask(c Contention, prev uint64) uint64 {
 
 // effectiveMask strips bits the plan shape cannot act on: the flat-hot bit
 // when rack topology is present, the root's rack, and racks outside the
-// layout. Plans are keyed on the effective mask so equivalent signals share
-// one cache entry.
+// layout, so equivalent signals build one plan.
 func (a AdaptiveGen) effectiveMask(mask uint64) uint64 {
 	if len(a.RackOf) == 0 {
 		return mask & flatHotBit
@@ -219,11 +214,9 @@ func (a AdaptiveGen) checkTopo(nodes int) bool {
 }
 
 // MaskedNodePlan implements AdaptivePlanner. Delegated shapes (mask 0, or
-// the flat-fabric forms) reuse the underlying generators' cache entries and
-// closed forms; sheltered hybrids are cached under a (topology signature,
-// contention bucket) key — the PR 3 single-flight cache extended with the
-// mask as the bucket. The key space is bounded: at most 2^racks masks per
-// geometry, and in practice the hysteresis visits a handful.
+// the flat-fabric forms) use the underlying generators' NodePlan; a
+// sheltered hybrid has no per-rank closed form, so the caller builds it and
+// keeps its own transfers.
 func (a AdaptiveGen) MaskedNodePlan(nodes, blocks, rank int, mask uint64) NodePlan {
 	checkArgs(nodes, blocks)
 	checkRank(nodes, rank)
@@ -237,15 +230,7 @@ func (a AdaptiveGen) MaskedNodePlan(nodes, blocks, rank int, mask uint64) NodePl
 	if eff == 0 {
 		return HybridGen{RackOf: a.RackOf}.NodePlan(nodes, blocks, rank)
 	}
-	sig := make([]byte, 0, 4*nodes+20)
-	for _, r := range a.RackOf {
-		sig = strconv.AppendInt(sig, int64(r), 10)
-		sig = append(sig, ',')
-	}
-	sig = append(sig, '|')
-	sig = strconv.AppendUint(sig, eff, 16)
-	key := planKey{algo: "adaptive-hybrid", nodes: nodes, blocks: blocks, aux: string(sig)}
-	return cachedNodePlan(key, rank, func() Plan { return a.shelterPlan(nodes, blocks, eff) })
+	return a.shelterPlan(nodes, blocks, eff).nodePlanOf(rank)
 }
 
 // MaskedPlan is the full-plan form of MaskedNodePlan: its PerNode()[rank]

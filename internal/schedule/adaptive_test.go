@@ -2,10 +2,7 @@ package schedule
 
 import (
 	"reflect"
-	"sync"
 	"testing"
-
-	"rdmc/internal/obs"
 )
 
 // adaptiveRackOf maps rank → rank/rackSize, the layout every adaptive test
@@ -111,30 +108,24 @@ func TestShelterPlanInvariants(t *testing.T) {
 }
 
 // TestAdaptiveMaskZeroSharesHybridCache pins the uncontended fast path: mask
-// 0 (and any mask whose routable bits strip to nothing) must not merely equal
-// the static hybrid's plan but alias the very same cached table, so an
-// adaptive group that never sees contention is bit-identical to — and shares
-// memory with — its static counterpart.
+// 0 (and any mask whose routable bits strip to nothing) must return exactly
+// the static hybrid's plan, so an adaptive group that never sees contention
+// is bit-identical to its static counterpart.
 func TestAdaptiveMaskZeroSharesHybridCache(t *testing.T) {
 	const n, k, rackSize = 32, 16, 8
 	rackOf := adaptiveRackOf(n, rackSize)
 	ad := AdaptiveGen{RackOf: rackOf}
 	hy := HybridGen{RackOf: rackOf}
 	for r := 0; r < n; r++ {
-		if got, want := ad.MaskedNodePlan(n, k, r, 0), hy.NodePlan(n, k, r); !nodePlanEqual(got, want) {
+		want := hy.NodePlan(n, k, r)
+		if got := ad.MaskedNodePlan(n, k, r, 0); !nodePlanEqual(got, want) {
 			t.Fatalf("rank %d: mask-0 adaptive plan ≠ hybrid plan", r)
 		}
-	}
-	a := ad.NodePlan(n, k, 1)
-	b := hy.NodePlan(n, k, 1)
-	if len(a.Recvs) == 0 || len(b.Recvs) == 0 || &a.Recvs[0] != &b.Recvs[0] {
-		t.Error("mask-0 adaptive plan does not alias the hybrid's cache entry")
-	}
-	// Bits the shape cannot act on (the root's rack, the flat-fabric bit)
-	// must strip back to the same entry, not mint a new key.
-	c := ad.MaskedNodePlan(n, k, 1, flatHotBit|1)
-	if len(c.Recvs) == 0 || &c.Recvs[0] != &a.Recvs[0] {
-		t.Error("stripped-to-zero mask resolved to a different cache entry than mask 0")
+		// Bits the shape cannot act on (the root's rack, the flat-fabric bit)
+		// must strip back to the mask-0 plan.
+		if got := ad.MaskedNodePlan(n, k, r, flatHotBit|1); !nodePlanEqual(got, want) {
+			t.Fatalf("rank %d: stripped-to-zero mask plan ≠ hybrid plan", r)
+		}
 	}
 }
 
@@ -165,69 +156,14 @@ func TestAdaptiveFlatFallbacks(t *testing.T) {
 	}
 }
 
-// TestAdaptiveShelterCacheSingleFlight hammers one sheltered-plan cache key
-// from many goroutines: the shelter computation must run exactly once (the
-// PR 3 single-flight property, observed through the planner metrics hook) and
-// every caller must see the identical shared table.
-func TestAdaptiveShelterCacheSingleFlight(t *testing.T) {
-	const n, k = 40, 16 // geometry unique to this test: the key starts cold
-	mask := uint64(1) << 2
-	gen := AdaptiveGen{RackOf: adaptiveRackOf(n, 8)}
-	var hit, miss obs.Counter
-	SetMetrics(&Metrics{CacheHit: &hit, CacheMiss: &miss})
-	defer SetMetrics(nil)
-
-	want := gen.MaskedPlan(n, k, mask).PerNode() // direct build, bypasses the cache
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := g; r < n; r += 16 {
-				if got := gen.MaskedNodePlan(n, k, r, mask); !nodePlanEqual(got, want[r]) {
-					t.Errorf("rank %d: cached MaskedNodePlan ≠ MaskedPlan.PerNode", r)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := miss.Load(); got != 1 {
-		t.Errorf("shelter plan computed %d times under concurrent lookups, want 1", got)
-	}
-	if got := hit.Load(); got != uint64(n-1) {
-		t.Errorf("plan cache hits = %d, want %d", got, n-1)
-	}
-
-	a := gen.MaskedNodePlan(n, k, 1, mask)
-	b := gen.MaskedNodePlan(n, k, 1, mask)
-	if len(a.Recvs) > 0 && &a.Recvs[0] != &b.Recvs[0] {
-		t.Error("cached MaskedNodePlan calls returned distinct tables for one key")
-	}
-}
-
-// countPlanCacheKeys counts process-global plan-cache entries for one
-// (algorithm, group size) pair.
-func countPlanCacheKeys(algo string, nodes int) int {
-	count := 0
-	planCache.Range(func(k, _ any) bool {
-		if pk := k.(planKey); pk.algo == algo && pk.nodes == nodes {
-			count++
-		}
-		return true
-	})
-	return count
-}
-
 // TestAdaptiveChurningSignalBoundsCacheKeys drives DecideMask with hundreds
 // of oscillating contention samples — including values inside the hysteresis
-// band — and plans from every mask it emits. The cache may grow by at most
-// one key per distinct effective mask (3 here: two routable racks), however
-// noisy the signal: the contention bucket, not the raw sample, keys the
-// cache.
+// band — and plans from every mask it emits. However noisy the signal, the
+// mask must stay inside the routable racks (two here), so the contention
+// bucket, not the raw sample, selects the plan.
 func TestAdaptiveChurningSignalBoundsCacheKeys(t *testing.T) {
 	const n, k = 24, 8 // racks 0 (root's), 1, 2
 	gen := AdaptiveGen{RackOf: adaptiveRackOf(n, 8)}
-	before := countPlanCacheKeys("adaptive-hybrid", n)
 	var mask uint64
 	planned := 0
 	for i := 0; i < 400; i++ {
@@ -247,10 +183,6 @@ func TestAdaptiveChurningSignalBoundsCacheKeys(t *testing.T) {
 	}
 	if planned == 0 {
 		t.Fatal("signal sweep never produced a sheltered plan")
-	}
-	added := countPlanCacheKeys("adaptive-hybrid", n) - before
-	if added < 1 || added > 3 {
-		t.Fatalf("churning signal grew the plan cache by %d keys, want 1..3 (one per distinct mask)", added)
 	}
 }
 

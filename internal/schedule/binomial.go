@@ -46,21 +46,17 @@ func (BinomialPipelineGen) Plan(nodes, blocks int) Plan {
 // so evaluating the closed form for the partner at every step enumerates
 // rank i's k receives. One rank's plan therefore costs O(l+k) time with
 // exact-size allocations and no global plan. Non-power-of-two sizes have no
-// closed form; their circulant plan is computed once per (n, k) in the
-// process-wide cache and shared by every caller.
-func (BinomialPipelineGen) NodePlan(nodes, blocks, rank int) NodePlan {
+// closed form; the caller builds the circulant plan and keeps its own
+// transfers.
+func (g BinomialPipelineGen) NodePlan(nodes, blocks, rank int) NodePlan {
 	checkArgs(nodes, blocks)
 	checkRank(nodes, rank)
 	if nodes == 1 {
-		planFast()
 		return NodePlan{}
 	}
 	if nodes&(nodes-1) != 0 {
-		return cachedNodePlan(planKey{algo: "circulant", nodes: nodes, blocks: blocks}, rank, func() Plan {
-			return BinomialPipelineGen{}.Plan(nodes, blocks)
-		})
+		return g.Plan(nodes, blocks).nodePlanOf(rank)
 	}
-	planFast()
 	l := log2Ceil(nodes)
 	steps := l + blocks - 1
 	nSends := 0
@@ -217,58 +213,21 @@ func circulantPlan(n, k int, avail []int) []Transfer {
 // pickBlock selects the block rank from sends to rank to at the given round,
 // or -1 for none: the root injects the round's fresh block when the target
 // lacks it, otherwise (and for relayers always) the sender forwards the
-// highest block it holds that the target lacks.
+// highest block it holds that the target lacks. The scan runs a word at a
+// time from the top, so it costs O(k/64) rather than O(k).
 func pickBlock(h holdings, from, to, round, k int) int {
 	if from == 0 {
 		if fresh := min(round, k-1); h.get(0, fresh) && !h.get(to, fresh) {
 			return fresh
 		}
 	}
-	for b := k - 1; b >= 0; b-- {
-		if h.get(from, b) && !h.get(to, b) {
-			return b
+	src, dst := h.bits[from*h.words:], h.bits[to*h.words:]
+	for w := h.words - 1; w >= 0; w-- {
+		if lack := src[w] &^ dst[w]; lack != 0 {
+			return w*64 + 63 - bits.LeadingZeros64(lack)
 		}
 	}
 	return -1
-}
-
-// hypercubePlan is an independent synchronous executor of the paper's §4.4
-// exchange rules for power-of-two n, used by tests as an executable
-// specification to cross-check closedFormPlan: at step j each node exchanges
-// with its neighbour along hypercube dimension j mod l, the root sends block
-// min(j, k−1) and every other node its highest held block the partner lacks.
-func hypercubePlan(n, k int) Plan {
-	if n&(n-1) != 0 {
-		panic("schedule: hypercubePlan requires power-of-two n")
-	}
-	l := log2Ceil(n)
-	p := Plan{Nodes: n, Blocks: k}
-	has := newHoldings(n, k)
-	limit := 4*(l+k) + 64
-	for round := 0; !has.complete(); round++ {
-		if round > limit {
-			panic(fmt.Sprintf("schedule: hypercube executor failed to converge for n=%d k=%d", n, k))
-		}
-		d := round % l
-		type delivery struct{ node, block int }
-		var arrived []delivery
-		for i := 0; i < n; i++ {
-			to := i ^ (1 << d)
-			if to == 0 {
-				continue
-			}
-			b := pickBlock(has, i, to, round, k)
-			if b < 0 {
-				continue
-			}
-			p.Transfers = append(p.Transfers, Transfer{Round: round, From: i, To: to, Block: b})
-			arrived = append(arrived, delivery{node: to, block: b})
-		}
-		for _, a := range arrived {
-			has.set(a.node, a.block)
-		}
-	}
-	return p
 }
 
 // holdings is a per-rank block bitset.

@@ -1,9 +1,6 @@
 package schedule
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // HybridGen implements the paper's §4.3 hybrid: when rack topology is known,
 // run one binomial pipeline across rack leaders and a second one within each
@@ -29,21 +26,11 @@ func (HybridGen) Name() string { return "hybrid binomial pipeline" }
 
 // NodePlan implements Generator. The hybrid has no per-rank closed form —
 // its two pipeline levels interleave rounds and depend on the rack layout —
-// so the full plan is computed once per (layout, n, k) in the process-wide
-// cache and every member takes its slice of the shared immutable table.
+// so the caller builds the full plan and keeps its own transfers.
 func (h HybridGen) NodePlan(nodes, blocks, rank int) NodePlan {
 	checkArgs(nodes, blocks)
 	checkRank(nodes, rank)
-	if len(h.RackOf) != nodes {
-		panic(fmt.Sprintf("schedule: RackOf covers %d ranks, plan needs %d", len(h.RackOf), nodes))
-	}
-	sig := make([]byte, 0, 4*nodes)
-	for _, r := range h.RackOf {
-		sig = strconv.AppendInt(sig, int64(r), 10)
-		sig = append(sig, ',')
-	}
-	key := planKey{algo: "hybrid", nodes: nodes, blocks: blocks, aux: string(sig)}
-	return cachedNodePlan(key, rank, func() Plan { return h.Plan(nodes, blocks) })
+	return h.Plan(nodes, blocks).nodePlanOf(rank)
 }
 
 // Plan implements Generator. It panics if RackOf does not cover every rank.

@@ -1,14 +1,9 @@
 package schedule
 
-import (
-	"math/bits"
-	"sync"
-	"sync/atomic"
-)
+import "math/bits"
 
-// This file holds the rank-local planning fast paths: the per-rank closed
-// forms for the generators that have one, and the process-wide plan cache for
-// the ones that do not.
+// This file holds the rank-local planning paths: the per-rank closed forms
+// for the generators that have one, and nodePlanOf for the ones that do not.
 //
 // Motivation (paper §4.4): "each node can compute its send schedule
 // directly". The engine only ever needs one rank's sends and receives, so
@@ -19,134 +14,24 @@ import (
 // property-tested) to be element-for-element identical to
 // Plan(nodes, blocks).PerNode()[rank].
 
-// planKey identifies one cached per-rank plan table: the generating
-// algorithm, the group geometry, and, for topology-aware generators, an
-// auxiliary signature (the hybrid's rack layout).
-type planKey struct {
-	algo   string
-	nodes  int
-	blocks int
-	aux    string
-}
-
-// planCacheEntry is filled exactly once; plans is immutable afterwards. ref
-// is the clock hand's second-chance bit — set on every lookup, cleared by an
-// eviction sweep; done guards the evictor from removing an entry whose
-// computation is still in flight (its plans slice is not yet published).
-type planCacheEntry struct {
-	once  sync.Once
-	plans []NodePlan
-	ref   atomic.Bool
-	done  atomic.Bool
-}
-
-// planCache is the process-wide, single-flight cache of per-rank plan tables
-// for generators with no per-rank closed form (the circulant pipeline at
-// non-power-of-two sizes, the hybrid, the masked adaptive shapes). It is
-// shared across every engine and group in the process: when hundreds of
-// members of one simulated group all need the same (algorithm, n, k) plan,
-// exactly one of them computes it and the rest take slices of the same
-// immutable table.
-//
-// The cache is bounded: a multi-tenant service churns k-of-n draws through
-// arbitrarily many distinct geometries, so "the set of distinct geometries a
-// process touches" is NOT bounded by any one workload. Resident entries are
-// capped at planCacheCap with a clock (second-chance) sweep — lookups stay
-// lock-free; only the rare over-cap insert takes the eviction mutex. Evicting
-// an entry another goroutine still holds is safe (the table is immutable and
-// garbage-collected once the holder drops it); a re-miss simply recomputes.
-var (
-	planCache    sync.Map // planKey → *planCacheEntry
-	planCacheLen atomic.Int64
-	planCacheCap atomic.Int64
-	planEvictMu  sync.Mutex
-)
-
-// DefaultPlanCacheCap bounds the resident plan tables. The adaptive planner's
-// masked shapes already rely on a bounded key space per geometry (a handful of
-// hysteresis buckets); this cap applies the same discipline globally. 512
-// tables at O(n·k) transfers each is a few tens of MB worst-case — far below
-// what an unbounded map reaches under group churn — while still covering every
-// geometry any single benchmark or deployment revisits.
-const DefaultPlanCacheCap = 512
-
-func init() { planCacheCap.Store(DefaultPlanCacheCap) }
-
-// SetPlanCacheCap overrides the resident-entry cap (n <= 0 restores the
-// default). Intended for tests and capacity experiments; safe to call
-// concurrently with planning.
-func SetPlanCacheCap(n int) {
-	if n <= 0 {
-		n = DefaultPlanCacheCap
-	}
-	planCacheCap.Store(int64(n))
-}
-
-// PlanCacheSize reports the resident plan-table count — the value exported as
-// the schedule.plan_cache_size gauge.
-func PlanCacheSize() int { return int(planCacheLen.Load()) }
-
-// cachedNodePlan returns rank's slice of the plan identified by key,
-// computing the full plan at most once per residency (concurrent callers for
-// the same key block on the first computation; distinct keys do not
-// interact). The returned NodePlan aliases the shared table and must be
-// treated as immutable.
-func cachedNodePlan(key planKey, rank int, plan func() Plan) NodePlan {
-	e, loaded := planCache.LoadOrStore(key, &planCacheEntry{})
-	entry := e.(*planCacheEntry)
-	if !loaded {
-		if n := planCacheLen.Add(1); n > planCacheCap.Load() {
-			evictPlanCache()
+// nodePlanOf returns rank's slice of the plan, element for element equal to
+// PerNode()[rank], without splitting out every other rank. It is the
+// per-rank path of the generators with no closed form (the circulant
+// pipeline at non-power-of-two sizes, the hybrid, the sheltered hybrid):
+// each member builds the full plan itself and keeps its own transfers.
+func (p Plan) nodePlanOf(rank int) NodePlan {
+	var np NodePlan
+	for _, tr := range p.Transfers {
+		if tr.From == rank {
+			np.Sends = append(np.Sends, tr)
 		}
-		planCacheGauge()
+		if tr.To == rank {
+			np.Recvs = append(np.Recvs, tr)
+		}
 	}
-	computed := false
-	entry.once.Do(func() {
-		entry.plans = plan().PerNode()
-		entry.done.Store(true)
-		computed = true
-	})
-	// The reference bit is set on hits only: a fresh insert starts cold, so
-	// one-shot churn entries are the sweep's first victims and an entry that
-	// is genuinely re-looked-up always survives the bit-clearing pass. (If
-	// inserts started hot, a sweep landing while every entry is fresh would
-	// clear all bits without evicting and fall through to the force pass,
-	// whose sync.Map iteration order picks an arbitrary victim.)
-	if loaded {
-		entry.ref.Store(true)
-	}
-	planCacheOutcome(computed)
-	return entry.plans[rank]
-}
-
-// evictPlanCache runs the clock sweep until the cache is back under its cap.
-// One evictor at a time; concurrent inserts during a sweep are tolerated (the
-// next over-cap insert sweeps again). The first pass grants each referenced
-// entry its second chance by clearing the bit, the second evicts whatever
-// stayed cold, and the final pass force-evicts regardless of reference bits so
-// a fully-hot cache still converges. Entries whose computation is in flight
-// are never evicted.
-func evictPlanCache() {
-	planEvictMu.Lock()
-	defer planEvictMu.Unlock()
-	limit := planCacheCap.Load()
-	for pass := 0; pass < 3 && planCacheLen.Load() > limit; pass++ {
-		force := pass == 2
-		planCache.Range(func(k, v any) bool {
-			entry := v.(*planCacheEntry)
-			if !entry.done.Load() {
-				return true
-			}
-			if !force && entry.ref.CompareAndSwap(true, false) {
-				return true
-			}
-			planCache.Delete(k)
-			planCacheLen.Add(-1)
-			planCacheEvicted()
-			return planCacheLen.Load() > limit
-		})
-	}
-	planCacheGauge()
+	sortStable(np.Sends)
+	sortStable(np.Recvs)
+	return np
 }
 
 // NodePlan implements Generator. The root's sends and each receiver's
@@ -155,7 +40,6 @@ func evictPlanCache() {
 func (sequentialGen) NodePlan(nodes, blocks, rank int) NodePlan {
 	checkArgs(nodes, blocks)
 	checkRank(nodes, rank)
-	planFast()
 	var np NodePlan
 	if rank == 0 {
 		if nodes == 1 {
@@ -184,7 +68,6 @@ func (sequentialGen) NodePlan(nodes, blocks, rank int) NodePlan {
 func (chainGen) NodePlan(nodes, blocks, rank int) NodePlan {
 	checkArgs(nodes, blocks)
 	checkRank(nodes, rank)
-	planFast()
 	var np NodePlan
 	if rank < nodes-1 {
 		np.Sends = make([]Transfer, 0, blocks)
@@ -208,7 +91,6 @@ func (chainGen) NodePlan(nodes, blocks, rank int) NodePlan {
 func (binomialTreeGen) NodePlan(nodes, blocks, rank int) NodePlan {
 	checkArgs(nodes, blocks)
 	checkRank(nodes, rank)
-	planFast()
 	var np NodePlan
 	first := 0 // first step at which rank holds the message and may send
 	if rank > 0 {
@@ -251,7 +133,6 @@ func (binomialTreeGen) NodePlan(nodes, blocks, rank int) NodePlan {
 func (mpiGen) NodePlan(nodes, blocks, rank int) NodePlan {
 	checkArgs(nodes, blocks)
 	checkRank(nodes, rank)
-	planFast()
 	var np NodePlan
 	if nodes == 1 {
 		return np

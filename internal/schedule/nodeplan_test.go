@@ -1,10 +1,6 @@
 package schedule
 
-import (
-	"reflect"
-	"sync"
-	"testing"
-)
+import "testing"
 
 // nodePlanSizes is the equivalence grid from the planner-rework acceptance
 // criteria: every small size (closed-form edge cases live at n ≤ 17), plus
@@ -59,9 +55,9 @@ func TestNodePlanMatchesPerNode(t *testing.T) {
 }
 
 // TestHybridNodePlanMatchesPerNode runs the same property for the hybrid
-// generator across rack shapes (the hybrid resolves through the shared plan
-// cache, so this also pins the cache's rank slicing and the PerNode sort
-// fallback its out-of-order plan requires).
+// generator across rack shapes (the hybrid resolves through nodePlanOf, so
+// this also pins its rank filtering and the sort its out-of-order plan
+// requires).
 func TestHybridNodePlanMatchesPerNode(t *testing.T) {
 	for _, rackSize := range []int{1, 3, 4, 8} {
 		for _, n := range []int{1, 2, 5, 8, 12, 16, 17, 32} {
@@ -137,37 +133,5 @@ func TestHybridPerNodeSortFallback(t *testing.T) {
 				t.Fatalf("rank %d recvs out of round order after PerNode", rank)
 			}
 		}
-	}
-}
-
-// TestPlanCacheSingleFlight hammers one cache key from many goroutines: all
-// callers must observe the identical shared table (the computation runs once)
-// and the race detector must stay quiet.
-func TestPlanCacheSingleFlight(t *testing.T) {
-	const n, k = 48, 16 // non-power-of-two: resolves through the cache
-	gen := New(BinomialPipeline)
-	want := gen.Plan(n, k).PerNode()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := g; r < n; r += 16 {
-				if got := gen.NodePlan(n, k, r); !nodePlanEqual(got, want[r]) {
-					t.Errorf("rank %d: cached NodePlan ≠ PerNode", r)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	// Two sequential calls must alias the same backing table.
-	a := gen.NodePlan(n, k, 1)
-	b := gen.NodePlan(n, k, 1)
-	if len(a.Recvs) > 0 && &a.Recvs[0] != &b.Recvs[0] {
-		t.Error("cached NodePlan calls returned distinct tables for one key")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("cached NodePlan calls disagree")
 	}
 }

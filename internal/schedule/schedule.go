@@ -72,7 +72,7 @@ type NodePlan struct {
 //
 // The split is allocation-exact and sort-free in the common case: a first
 // pass counts each rank's transfers so every slice is sized in one shot, and
-// the stable sort runs only if some rank's transfers arrived out of round
+// the stable sort runs only on a list whose transfers arrived out of round
 // order — every built-in generator except the hybrid (whose two phases
 // interleave rounds) emits them already ordered.
 func (p Plan) PerNode() []NodePlan {
@@ -90,30 +90,26 @@ func (p Plan) PerNode() []NodePlan {
 			nodes[i].Recvs = make([]Transfer, 0, c)
 		}
 	}
-	ordered := true
 	for _, tr := range p.Transfers {
-		s := nodes[tr.From].Sends
-		if n := len(s); n > 0 && s[n-1].Round > tr.Round {
-			ordered = false
-		}
-		nodes[tr.From].Sends = append(s, tr)
-		r := nodes[tr.To].Recvs
-		if n := len(r); n > 0 && r[n-1].Round > tr.Round {
-			ordered = false
-		}
-		nodes[tr.To].Recvs = append(r, tr)
+		nodes[tr.From].Sends = append(nodes[tr.From].Sends, tr)
+		nodes[tr.To].Recvs = append(nodes[tr.To].Recvs, tr)
 	}
-	if !ordered {
-		for i := range nodes {
-			sortStable(nodes[i].Sends)
-			sortStable(nodes[i].Recvs)
-		}
+	for i := range nodes {
+		sortStable(nodes[i].Sends)
+		sortStable(nodes[i].Recvs)
 	}
 	return nodes
 }
 
+// sortStable orders transfers by round, keeping plan order within a round.
+// Already-ordered lists, the common case, are left untouched.
 func sortStable(ts []Transfer) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].Round < ts[j].Round })
+	for i := 1; i < len(ts); i++ {
+		if ts[i].Round < ts[i-1].Round {
+			sort.SliceStable(ts, func(i, j int) bool { return ts[i].Round < ts[j].Round })
+			return
+		}
+	}
 }
 
 // Validate checks the invariants every correct plan must satisfy:
@@ -214,10 +210,8 @@ type Generator interface {
 	// element identical to Plan(nodes, blocks).PerNode()[rank]. Generators
 	// with a per-rank closed form (the paper's §4.4 "each node can compute
 	// its send schedule directly") answer in time proportional to the
-	// rank's own transfers; the rest share one immutable plan table per
-	// (algorithm, n, k) through the process-wide cache in nodeplan.go. The
-	// returned slices may be shared across callers and must not be
-	// mutated. It panics on invalid sizes or an out-of-range rank.
+	// rank's own transfers; the rest build the full plan and keep the
+	// rank's transfers. It panics on invalid sizes or an out-of-range rank.
 	NodePlan(nodes, blocks, rank int) NodePlan
 }
 

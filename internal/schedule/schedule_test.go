@@ -270,7 +270,7 @@ func TestHypercubeExecutorMatchesClosedForm(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 16, 32} {
 		for _, k := range []int{1, 2, 3, 8, 17} {
 			closed := closedFormPlan(n, k)
-			greedy := hypercubePlan(n, k)
+			greedy := Plan{Nodes: n, Blocks: k, Transfers: referencePipeline(n, k, nil, hypercubePartner)}
 			cset := transferSet(closed)
 			gset := transferSet(greedy)
 			for tr := range cset {
@@ -285,6 +285,95 @@ func TestHypercubeExecutorMatchesClosedForm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCirculantWordScanMatchesReference pins pickBlock's word-at-a-time scan
+// to the bit-by-bit reference: circulantPlan must emit exactly the transfers
+// the reference executor emits, for every non-power-of-two size up to 70,
+// block counts on both sides of each 64-bit word boundary, and both with the
+// root holding everything and with a staggered root (the hybrid and shelter
+// in-rack path).
+func TestCirculantWordScanMatchesReference(t *testing.T) {
+	for n := 3; n <= 70; n++ {
+		if n&(n-1) == 0 {
+			continue
+		}
+		for _, k := range []int{1, 63, 64, 65, 130, 512} {
+			staggered := make([]int, k)
+			for b := range staggered {
+				staggered[b] = 3*b/2 - 1 // block 0 from the start, then a gap every other block
+			}
+			for _, avail := range [][]int{nil, staggered} {
+				got := circulantPlan(n, k, avail)
+				want := referencePipeline(n, k, avail, func(i, d int) int { return (i + 1<<d) % n })
+				if !transfersEqual(got, want) {
+					t.Fatalf("n=%d k=%d staggered=%v: word scan plan (%d transfers) ≠ bit-by-bit reference (%d transfers)",
+						n, k, avail != nil, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
+func hypercubePartner(i, d int) int { return i ^ 1<<d }
+
+// referencePipeline is an independent synchronous executor of the pipeline
+// exchange rules, the executable specification for closedFormPlan (with
+// hypercube partners) and circulantPlan (with circulant partners): at step j
+// each node i sends to partner(i, j mod l); the root sends block min(j, k−1)
+// when the partner lacks it, and otherwise every node sends the highest block
+// it holds that its partner lacks, found by pickBlockBitwise. avail delays
+// the root's holdings as in circulantPlan.
+func referencePipeline(n, k int, avail []int, partner func(i, d int) int) []Transfer {
+	l := log2Ceil(n)
+	has := newHoldings(n, k)
+	if avail != nil {
+		for b := 0; b < k; b++ {
+			has.bits[b/64] &^= 1 << (b % 64)
+		}
+		has.count[0] = 0
+	}
+	var out []Transfer
+	for round := 0; !has.complete(); round++ {
+		if round > 4*(len(avail)+l+k)+64 {
+			panic(fmt.Sprintf("reference pipeline failed to converge for n=%d k=%d", n, k))
+		}
+		for b, a := range avail {
+			if a < round {
+				has.set(0, b)
+			}
+		}
+		var arrived []Transfer
+		for i := 0; i < n; i++ {
+			to := partner(i, round%l)
+			if to == 0 || to == i {
+				continue
+			}
+			if b := pickBlockBitwise(has, i, to, round, k); b >= 0 {
+				arrived = append(arrived, Transfer{Round: round, From: i, To: to, Block: b})
+			}
+		}
+		for _, tr := range arrived {
+			has.set(tr.To, tr.Block)
+		}
+		out = append(out, arrived...)
+	}
+	return out
+}
+
+// pickBlockBitwise is pickBlock's rule scanned one block at a time.
+func pickBlockBitwise(h holdings, from, to, round, k int) int {
+	if from == 0 {
+		if fresh := min(round, k-1); h.get(0, fresh) && !h.get(to, fresh) {
+			return fresh
+		}
+	}
+	for b := k - 1; b >= 0; b-- {
+		if h.get(from, b) && !h.get(to, b) {
+			return b
+		}
+	}
+	return -1
 }
 
 func transferSet(p Plan) map[Transfer]bool {
