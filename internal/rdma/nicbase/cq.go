@@ -50,6 +50,7 @@ type CompletionQueue struct {
 
 	// Event mode.
 	submit func(fn func())
+	free   []*carrier // carriers whose delivery has returned
 
 	// Ring mode.
 	ring *Ring
@@ -57,10 +58,80 @@ type CompletionQueue struct {
 }
 
 // NewEventCQ builds a completion queue for event-loop transports: each
-// posted completion is wrapped in a closure and handed to submit, which must
-// run closures serially (the simulation's CPU model already does).
+// delivery rides a carrier — the completions, the consumer installed at post
+// time, and a run func bound once — whose run func is handed to submit,
+// which must run funcs serially (the simulation's CPU model already does).
+// Carriers are recycled once their delivery returns, so a steady stream of
+// posts allocates nothing.
 func NewEventCQ(submit func(fn func())) *CompletionQueue {
 	return &CompletionQueue{submit: submit}
+}
+
+// carrier is one event-mode delivery waiting in the provider's loop.
+type carrier struct {
+	q   *CompletionQueue
+	cs  []rdma.Completion
+	h   func(rdma.Completion)
+	bh  func([]rdma.Completion)
+	run func()
+}
+
+// deliver hands the carried completions to the consumer and then returns
+// the carrier to the free list. Not before: the consumer may post again,
+// and that post must not take this carrier.
+func (k *carrier) deliver() {
+	if k.bh != nil {
+		k.bh(k.cs)
+	} else {
+		for _, c := range k.cs {
+			k.h(c)
+		}
+	}
+	clear(k.cs) // drop payload references
+	k.cs, k.h, k.bh = k.cs[:0], nil, nil
+	q := k.q
+	q.mu.Lock()
+	q.free = append(q.free, k)
+	q.mu.Unlock()
+}
+
+// submitEvent hands cs to the provider's loop for the consumer installed
+// now: as one batch to a batch handler, one submit per completion to a
+// per-completion handler.
+func (q *CompletionQueue) submitEvent(cs []rdma.Completion) {
+	q.mu.Lock()
+	h, bh := q.handler, q.batch
+	q.mu.Unlock()
+	switch {
+	case bh != nil:
+		q.batchSize.Observe(int64(len(cs)))
+		k := q.carrier()
+		k.bh = bh
+		k.cs = append(k.cs, cs...)
+		q.submit(k.run)
+	case h != nil:
+		for _, c := range cs {
+			k := q.carrier()
+			k.h = h
+			k.cs = append(k.cs, c)
+			q.submit(k.run)
+		}
+	}
+}
+
+// carrier takes a free carrier or makes one.
+func (q *CompletionQueue) carrier() *carrier {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if n := len(q.free); n > 0 {
+		k := q.free[n-1]
+		q.free[n-1] = nil
+		q.free = q.free[:n-1]
+		return k
+	}
+	k := &carrier{q: q}
+	k.run = k.deliver
+	return k
 }
 
 // NewRingCQ builds a completion queue whose producers post into a
@@ -106,17 +177,8 @@ func (q *CompletionQueue) HasHandler() bool {
 func (q *CompletionQueue) Post(c rdma.Completion) {
 	q.completions.Inc()
 	if q.submit != nil {
-		q.mu.Lock()
-		h, bh := q.handler, q.batch
-		q.mu.Unlock()
-		switch {
-		case bh != nil:
-			// Event mode has no queue to drain: every batch is one element.
-			q.batchSize.Observe(1)
-			q.submit(func() { bh([]rdma.Completion{c}) })
-		case h != nil:
-			q.submit(func() { h(c) })
-		}
+		// Event mode has no queue to drain: every batch is one element.
+		q.submitEvent([]rdma.Completion{c})
 		return
 	}
 	q.ring.Push(c)
@@ -132,20 +194,7 @@ func (q *CompletionQueue) PostBatch(cs []rdma.Completion) {
 	}
 	q.completions.Add(uint64(len(cs)))
 	if q.submit != nil {
-		q.mu.Lock()
-		h, bh := q.handler, q.batch
-		q.mu.Unlock()
-		switch {
-		case bh != nil:
-			q.batchSize.Observe(int64(len(cs)))
-			batch := append([]rdma.Completion(nil), cs...)
-			q.submit(func() { bh(batch) })
-		case h != nil:
-			for _, c := range cs {
-				c := c
-				q.submit(func() { h(c) })
-			}
-		}
+		q.submitEvent(cs)
 		return
 	}
 	q.ring.PushBatch(cs)

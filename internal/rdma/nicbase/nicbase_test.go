@@ -1,6 +1,7 @@
 package nicbase
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -42,6 +43,37 @@ func TestEventCQDeliversSerially(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("deliveries = %v, want [1 2]", got)
+	}
+}
+
+// TestEventCQRecyclesCarriers: a steady stream of event-mode posts allocates
+// nothing, and a consumer that posts from inside its own delivery — the
+// engine does, every block — neither loses the batch it is holding nor
+// receives it twice.
+func TestEventCQRecyclesCarriers(t *testing.T) {
+	cq := NewEventCQ(func(fn func()) { fn() })
+	var got []uint64
+	cq.SetBatchHandler(func(cs []rdma.Completion) {
+		first := cs[0].WRID
+		if first < 3 {
+			cq.PostBatch([]rdma.Completion{{WRID: first + 10}, {WRID: first + 20}})
+		}
+		if cs[0].WRID != first {
+			t.Errorf("batch changed under its consumer: WRID %d became %d", first, cs[0].WRID)
+		}
+		for _, c := range cs {
+			got = append(got, c.WRID)
+		}
+	})
+	cq.Post(rdma.Completion{WRID: 1})
+	cq.Post(rdma.Completion{WRID: 2})
+	want := []uint64{11, 21, 1, 12, 22, 2}
+	if !slices.Equal(got, want) {
+		t.Fatalf("deliveries = %v, want %v", got, want)
+	}
+	cq.SetHandler(func(rdma.Completion) {})
+	if allocs := testing.AllocsPerRun(100, func() { cq.Post(rdma.Completion{WRID: 5}) }); allocs != 0 {
+		t.Errorf("event-mode Post allocates %.1f objects per completion", allocs)
 	}
 }
 

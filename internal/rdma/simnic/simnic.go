@@ -108,6 +108,7 @@ func (p *Provider) Connect(peer rdma.NodeID, token uint64) (rdma.QueuePair, erro
 		return nil, fmt.Errorf("simnic: peer %d outside cluster of %d nodes", peer, p.net.cluster.Config().Nodes)
 	}
 	qp := &queuePair{local: p, peer: peer, token: token, tolerant: p.net.tolerant}
+	qp.transmit = qp.transmitNext
 	if err := p.AddQP(nicbase.QPKey{Peer: peer, Token: token}, qp); err != nil {
 		return nil, err
 	}
@@ -170,23 +171,35 @@ type sendEntry struct {
 	// completes normally (the bytes left the NIC) but no arrival is
 	// delivered.
 	lost bool
+
+	// The fabric's completion callback for the queue pair's wire, bound to
+	// this entry once: a drained entry is recycled for a later launch.
+	landed      func(broken bool)
+	frameLanded func(simnet.Outcome)
+	next        *sendEntry // spare list link
 }
 
 // queuePair is one simulated RC endpoint. Up to defaultQPWindow work
 // requests execute concurrently as overlapping fabric flows (the NIC keeping
 // its pipe full), while completions and arrivals are delivered strictly in
-// post order; receives match arrivals in order.
+// post order; receives match arrivals in order. Its queues are rings of
+// values reused across work requests, and launched entries are recycled
+// with their callbacks bound, so a work request allocates nothing once the
+// queues have grown to their peak depth.
 type queuePair struct {
 	local    *Provider
 	peer     rdma.NodeID
 	token    uint64
 	tolerant bool
-	remote   *queuePair
-	pending  []sendWR     // posted, not yet launched
-	flight   []*sendEntry // launched, in post order (reorder buffer)
-	recvs    []recvWR
-	arrivals []arrival
 	broken   bool
+	remote   *queuePair
+	pending  fifo[sendWR]     // posted, not yet launched
+	flight   fifo[*sendEntry] // launched, in post order (reorder buffer)
+	sent     int              // flight entries handed to the fabric, a prefix
+	spare    *sendEntry       // drained entries awaiting reuse
+	recvs    fifo[recvWR]
+	arrivals fifo[arrival]
+	transmit func() // transmitNext, bound once
 }
 
 var _ rdma.QueuePair = (*queuePair)(nil)
@@ -202,7 +215,7 @@ func (q *queuePair) PostSend(buf rdma.Buffer, imm uint32, wrID uint64) error {
 	if err := q.postCheck(); err != nil {
 		return err
 	}
-	q.pending = append(q.pending, sendWR{buf: buf, imm: imm, wrID: wrID})
+	q.pending.push(sendWR{buf: buf, imm: imm, wrID: wrID})
 	q.maybeStart()
 	return nil
 }
@@ -215,7 +228,7 @@ func (q *queuePair) PostWrite(region rdma.RegionID, offset int, data []byte, wrI
 	if err := q.postCheck(); err != nil {
 		return err
 	}
-	q.pending = append(q.pending, sendWR{
+	q.pending.push(sendWR{
 		write:  true,
 		region: region,
 		offset: offset,
@@ -232,17 +245,16 @@ func (q *queuePair) PostRecv(buf rdma.Buffer, wrID uint64) error {
 	if err := q.postCheck(); err != nil {
 		return err
 	}
-	if len(q.arrivals) > 0 {
-		a := q.arrivals[0]
+	if q.arrivals.len() > 0 {
+		a := q.arrivals.at(0)
 		if a.data != nil && buf.Data != nil && len(buf.Data) < len(a.data) {
 			q.breakBoth()
 			return rdma.ErrBufferTooSmall
 		}
-		q.arrivals = q.arrivals[1:]
-		q.completeRecv(recvWR{buf: buf, wrID: wrID}, a)
+		q.completeRecv(recvWR{buf: buf, wrID: wrID}, q.arrivals.pop())
 		return nil
 	}
-	q.recvs = append(q.recvs, recvWR{buf: buf, wrID: wrID})
+	q.recvs.push(recvWR{buf: buf, wrID: wrID})
 	return nil
 }
 
@@ -262,29 +274,48 @@ func (q *queuePair) postCheck() error {
 // maybeStart launches queued sends until the window is full, the queue is
 // empty, or the endpoints are not yet paired. Each launch pays the software
 // post cost through the CPU model (offload bypasses it) and then becomes a
-// concurrent fabric flow.
+// concurrent fabric flow. The CPU model runs a node's tasks in submission
+// order, so launches reach transmitNext in post order.
 func (q *queuePair) maybeStart() {
 	if q.broken || q.remote == nil {
 		return
 	}
-	for len(q.flight) < defaultQPWindow && len(q.pending) > 0 {
-		wr := q.pending[0]
-		q.pending = q.pending[1:]
-		e := &sendEntry{wr: wr}
-		q.flight = append(q.flight, e)
-		start := func() { q.transmit(e) }
+	for q.flight.len() < defaultQPWindow && q.pending.len() > 0 {
+		e := q.entry()
+		e.wr = q.pending.pop()
+		q.flight.push(e)
 		if q.local.offload {
-			start()
+			q.transmitNext()
 			continue
 		}
-		q.local.cpu().Exec(q.local.cpu().Config().PostCost, start)
+		q.local.cpu().Exec(q.local.cpu().Config().PostCost, q.transmit)
 	}
 }
 
-func (q *queuePair) transmit(e *sendEntry) {
+// entry returns a recycled flight entry, or a new one with its callbacks
+// bound.
+func (q *queuePair) entry() *sendEntry {
+	if e := q.spare; e != nil {
+		q.spare, e.next = e.next, nil
+		return e
+	}
+	e := &sendEntry{}
+	if q.tolerant {
+		e.frameLanded = func(o simnet.Outcome) { q.onFrameLanded(e, o) }
+	} else {
+		e.landed = func(broken bool) { q.onLanded(e, broken) }
+	}
+	return e
+}
+
+// transmitNext hands the oldest launched entry not yet on the wire to the
+// fabric.
+func (q *queuePair) transmitNext() {
 	if q.broken {
 		return
 	}
+	e := *q.flight.at(q.sent)
+	q.sent++
 	src := simnet.NodeID(q.local.NodeID())
 	dst := simnet.NodeID(q.peer)
 	if q.tolerant {
@@ -292,47 +323,55 @@ func (q *queuePair) transmit(e *sendEntry) {
 		// the pair, and arrivals land at actual arrival time so a reordering
 		// fabric is observable. Local send completions still drain in post
 		// order — the NIC reports its own work FIFO either way.
-		q.local.net.cluster.TransferFrame(src, dst, float64(e.wr.buf.Len), func(o simnet.Outcome) {
-			if q.broken {
-				return
-			}
-			if o == simnet.OutcomeBroken {
-				q.breakBoth()
-				return
-			}
-			e.done = true
-			switch {
-			case o == simnet.OutcomeLost:
-				e.lost = true
-			case q.remote == nil || q.remote.broken:
-				// A frame into a torn-down peer vanishes; drainFlight
-				// surfaces the breakage when this entry reaches the head.
-				e.lost = true
-			default:
-				q.remote.onArrival(arrival{
-					bytes:  e.wr.buf.Len,
-					imm:    e.wr.imm,
-					data:   e.wr.buf.Data,
-					write:  e.wr.write,
-					region: e.wr.region,
-					offset: e.wr.offset,
-				}, e.wr.data)
-			}
-			q.drainFlight()
-		})
+		q.local.net.cluster.TransferFrame(src, dst, float64(e.wr.buf.Len), e.frameLanded)
 		return
 	}
-	q.local.net.cluster.Transfer(src, dst, float64(e.wr.buf.Len), func(broken bool) {
-		if q.broken {
-			return
-		}
-		if broken {
-			q.breakBoth()
-			return
-		}
-		e.done = true
-		q.drainFlight()
-	})
+	q.local.net.cluster.Transfer(src, dst, float64(e.wr.buf.Len), e.landed)
+}
+
+func (q *queuePair) onFrameLanded(e *sendEntry, o simnet.Outcome) {
+	if q.broken {
+		return
+	}
+	if o == simnet.OutcomeBroken {
+		q.breakBoth()
+		return
+	}
+	e.done = true
+	switch {
+	case o == simnet.OutcomeLost:
+		e.lost = true
+	case q.remote == nil || q.remote.broken:
+		// A frame into a torn-down peer vanishes; drainFlight
+		// surfaces the breakage when this entry reaches the head.
+		e.lost = true
+	default:
+		q.remote.onArrival(arrivalOf(&e.wr), e.wr.data)
+	}
+	q.drainFlight()
+}
+
+func (q *queuePair) onLanded(e *sendEntry, broken bool) {
+	if q.broken {
+		return
+	}
+	if broken {
+		q.breakBoth()
+		return
+	}
+	e.done = true
+	q.drainFlight()
+}
+
+func arrivalOf(wr *sendWR) arrival {
+	return arrival{
+		bytes:  wr.buf.Len,
+		imm:    wr.imm,
+		data:   wr.buf.Data,
+		write:  wr.write,
+		region: wr.region,
+		offset: wr.offset,
+	}
 }
 
 // drainFlight delivers finished flows in post order: completion to the local
@@ -342,14 +381,16 @@ func (q *queuePair) transmit(e *sendEntry) {
 // the RC behavior when retries against a torn-down QP exhaust — so a sender
 // learns its peer is gone the same way it would on the TCP transport.
 func (q *queuePair) drainFlight() {
-	for !q.broken && len(q.flight) > 0 && q.flight[0].done {
+	for !q.broken && q.flight.len() > 0 && (*q.flight.at(0)).done {
 		if q.remote != nil && q.remote.broken {
 			q.breakConn()
 			return
 		}
-		e := q.flight[0]
-		q.flight = q.flight[1:]
+		e := q.flight.pop()
+		q.sent--
 		wr := e.wr
+		*e = sendEntry{landed: e.landed, frameLanded: e.frameLanded, next: q.spare}
+		q.spare = e
 		op := rdma.OpSend
 		if wr.write {
 			op = rdma.OpWrite
@@ -367,14 +408,7 @@ func (q *queuePair) drainFlight() {
 			// flow-completion time; lost frames produce no arrival at all.
 			continue
 		}
-		q.remote.onArrival(arrival{
-			bytes:  wr.buf.Len,
-			imm:    wr.imm,
-			data:   wr.buf.Data,
-			write:  wr.write,
-			region: wr.region,
-			offset: wr.offset,
-		}, wr.data)
+		q.remote.onArrival(arrivalOf(&wr), wr.data)
 	}
 	q.maybeStart()
 }
@@ -389,13 +423,11 @@ func (q *queuePair) onArrival(a arrival, writeData []byte) {
 		}
 		return
 	}
-	if len(q.recvs) == 0 {
-		q.arrivals = append(q.arrivals, a)
+	if q.recvs.len() == 0 {
+		q.arrivals.push(a)
 		return
 	}
-	wr := q.recvs[0]
-	q.recvs = q.recvs[1:]
-	q.completeRecv(wr, a)
+	q.completeRecv(q.recvs.pop(), a)
 }
 
 func (q *queuePair) completeRecv(wr recvWR, a arrival) {
@@ -434,33 +466,72 @@ func (q *queuePair) breakConn() {
 		return
 	}
 	q.broken = true
-	failed := make([]sendWR, 0, len(q.flight)+len(q.pending))
-	for _, e := range q.flight {
-		failed = append(failed, e.wr)
+	q.sent = 0
+	// Completions are delivered through the CQ's submit hook, never from
+	// inside Complete, so draining the queues while failing them is safe.
+	for q.flight.len() > 0 {
+		q.failSend(q.flight.pop().wr)
 	}
-	failed = append(failed, q.pending...)
-	q.flight, q.pending = nil, nil
-	for _, wr := range failed {
-		op := rdma.OpSend
-		if wr.write {
-			op = rdma.OpWrite
-		}
-		q.local.Complete(rdma.Completion{
-			Op:     op,
-			Status: rdma.StatusBroken,
-			Peer:   q.peer,
-			Token:  q.token,
-			WRID:   wr.wrID,
-		})
+	for q.pending.len() > 0 {
+		q.failSend(q.pending.pop())
 	}
-	for _, wr := range q.recvs {
+	for q.recvs.len() > 0 {
 		q.local.Complete(rdma.Completion{
 			Op:     rdma.OpRecv,
 			Status: rdma.StatusBroken,
 			Peer:   q.peer,
 			Token:  q.token,
-			WRID:   wr.wrID,
+			WRID:   q.recvs.pop().wrID,
 		})
 	}
-	q.recvs = nil
+}
+
+func (q *queuePair) failSend(wr sendWR) {
+	op := rdma.OpSend
+	if wr.write {
+		op = rdma.OpWrite
+	}
+	q.local.Complete(rdma.Completion{
+		Op:     op,
+		Status: rdma.StatusBroken,
+		Peer:   q.peer,
+		Token:  q.token,
+		WRID:   wr.wrID,
+	})
+}
+
+// fifo is a queue of values in a ring buffer that grows to the queue's peak
+// depth and is then reused: a push allocates nothing, and a pop frees its
+// slot instead of re-slicing the head away.
+type fifo[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (f *fifo[T]) len() int { return f.n }
+
+// at returns the i-th queued value, the head being 0.
+func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)%len(f.buf)] }
+
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		buf := make([]T, max(1, 2*len(f.buf)))
+		for i := 0; i < f.n; i++ {
+			buf[i] = *f.at(i)
+		}
+		f.buf, f.head = buf, 0
+	}
+	*f.at(f.n) = v
+	f.n++
+}
+
+func (f *fifo[T]) pop() T {
+	p := &f.buf[f.head]
+	v := *p
+	var zero T
+	*p = zero
+	f.head = (f.head + 1) % len(f.buf)
+	f.n--
+	return v
 }

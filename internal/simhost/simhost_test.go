@@ -183,3 +183,53 @@ func TestGridReliabDeliversOverLossyWAN(t *testing.T) {
 		t.Errorf("stats look unwired: %+v", st)
 	}
 }
+
+// TestMulticastAllocationBudget bounds the host cost of the simulated data
+// path: a steady-state multicast (16 nodes, 16 blocks, windows of 1) may
+// allocate at most 10 heap objects per block transfer, everything from the
+// engine's control traffic through the NIC, fabric and event queue included.
+func TestMulticastAllocationBudget(t *testing.T) {
+	const n, k, perXfer = 16, 16, 10
+	grid, err := New(testConfig(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]rdma.NodeID, n)
+	for i := range members {
+		members[i] = rdma.NodeID(i)
+	}
+	delivered := 0
+	var root *core.Group
+	for i := 0; i < n; i++ {
+		g, err := grid.Engine(i).CreateGroup(1, members, core.GroupConfig{
+			BlockSize:  1 << 20,
+			SendWindow: 1,
+			RecvWindow: 1,
+			Callbacks:  core.Callbacks{Completion: func(int, []byte, int) { delivered++ }},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Rank() == 0 {
+			root = g
+		}
+	}
+	multicast := func() {
+		if err := root.SendSized(k << 20); err != nil {
+			t.Fatal(err)
+		}
+		grid.Run()
+	}
+	multicast() // connect the queue pairs and grow every reused buffer
+	// AllocsPerRun adds one warm-up run of its own; every member, the root
+	// included, completes each message.
+	allocs := testing.AllocsPerRun(5, multicast)
+	if want := 7 * n; delivered != want {
+		t.Fatalf("delivered %d messages, want %d", delivered, want)
+	}
+	if per := allocs / float64(k*(n-1)); per > perXfer {
+		t.Errorf("%.0f allocations per multicast, %.1f per block transfer; budget %d", allocs, per, perXfer)
+	} else {
+		t.Logf("%.0f allocations per multicast, %.1f per block transfer", allocs, per)
+	}
+}

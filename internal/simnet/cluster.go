@@ -68,9 +68,8 @@ type Cluster struct {
 	cfg    ClusterConfig
 	nodes  []*node
 
-	slow     map[[2]NodeID]*Resource
-	broken   map[[2]NodeID]bool
-	inFlight map[*Flow]transferState
+	slow   map[[2]NodeID]*Resource
+	broken map[[2]NodeID]bool
 
 	// lossRng feeds the fabric profile's loss and reorder draws. It is
 	// seeded independently of the simulation's source and untouched when no
@@ -89,11 +88,6 @@ type node struct {
 	down     bool
 }
 
-type transferState struct {
-	src, dst NodeID
-	onDone   func(Outcome)
-}
-
 // NewCluster builds a cluster over the given simulation engine.
 func NewCluster(sim *Sim, cfg ClusterConfig) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
@@ -107,13 +101,12 @@ func NewCluster(sim *Sim, cfg ClusterConfig) (*Cluster, error) {
 		lossSeed = cfg.Fabric.Seed
 	}
 	c := &Cluster{
-		sim:      sim,
-		fabric:   NewFabric(sim),
-		cfg:      cfg,
-		slow:     make(map[[2]NodeID]*Resource),
-		broken:   make(map[[2]NodeID]bool),
-		inFlight: make(map[*Flow]transferState),
-		lossRng:  rand.New(rand.NewSource(lossSeed)),
+		sim:     sim,
+		fabric:  NewFabric(sim),
+		cfg:     cfg,
+		slow:    make(map[[2]NodeID]*Resource),
+		broken:  make(map[[2]NodeID]bool),
+		lossRng: rand.New(rand.NewSource(lossSeed)),
 	}
 	var uplinks, downlinks []*Resource
 	if cfg.RackSize > 0 {
@@ -169,7 +162,7 @@ func (c *Cluster) SetLinkBandwidth(src, dst NodeID, bandwidth float64) {
 // immediately after it.
 func (c *Cluster) BreakLink(src, dst NodeID) {
 	c.broken[[2]NodeID{src, dst}] = true
-	c.breakMatching(func(t transferState) bool { return t.src == src && t.dst == dst })
+	c.breakMatching(func(fl *Flow) bool { return fl.src == src && fl.dst == dst })
 }
 
 // RestoreLink heals the directed pair src→dst after BreakLink: transfers
@@ -184,7 +177,7 @@ func (c *Cluster) RestoreLink(src, dst NodeID) {
 // FailNode takes a host down: every transfer to or from it breaks.
 func (c *Cluster) FailNode(id NodeID) {
 	c.nodes[id].down = true
-	c.breakMatching(func(t transferState) bool { return t.src == id || t.dst == id })
+	c.breakMatching(func(fl *Flow) bool { return fl.src == id || fl.dst == id })
 }
 
 // RestoreNode brings a failed host back: new transfers to and from it are
@@ -198,15 +191,21 @@ func (c *Cluster) RestoreNode(id NodeID) {
 // NodeFailed reports whether the host was failed.
 func (c *Cluster) NodeFailed(id NodeID) bool { return c.nodes[id].down }
 
-func (c *Cluster) breakMatching(match func(transferState) bool) {
-	for fl, st := range c.inFlight {
-		if !match(st) {
-			continue
+// breakMatching cancels the matching transfers on the fabric, in flow id
+// order so that a seed fixes the order their broken completions surface in,
+// and arms each one's retry timeout.
+func (c *Cluster) breakMatching(match func(*Flow) bool) {
+	// Collect first: Cancel may compact the registry being walked.
+	var doomed []*Flow
+	for _, fl := range c.fabric.allFlows {
+		if !fl.finished && match(fl) {
+			doomed = append(doomed, fl)
 		}
+	}
+	for _, fl := range doomed {
 		c.fabric.Cancel(fl)
-		delete(c.inFlight, fl)
-		done := st.onDone
-		c.sim.After(c.cfg.RetryTimeout, func() { done(OutcomeBroken) })
+		done := fl.onOutcome
+		c.sim.after(c.cfg.RetryTimeout, func() { done(OutcomeBroken) })
 	}
 }
 
@@ -238,7 +237,7 @@ func (c *Cluster) Ctrl(src, dst NodeID, onDeliver func()) {
 	if c.frameFate(src, dst, c.ctrlLoss(src, dst)) != OutcomeDelivered {
 		return
 	}
-	c.sim.After(c.pathLatency(src, dst), onDeliver)
+	c.sim.after(c.pathLatency(src, dst), onDeliver)
 }
 
 // Racks returns the number of TOR trunks (zero under full bisection).
@@ -275,9 +274,9 @@ func (c *Cluster) NodePortFlows(id NodeID) (tx, rx int) {
 	return n.tx.ActiveFlows(), n.rx.ActiveFlows()
 }
 
-func (c *Cluster) path(src, dst NodeID) []*Resource {
+// route appends the resources a src→dst transfer crosses to path.
+func (c *Cluster) route(path []*Resource, src, dst NodeID) []*Resource {
 	s, d := c.nodes[src], c.nodes[dst]
-	path := make([]*Resource, 0, 5)
 	path = append(path, s.tx)
 	if extra, ok := c.slow[[2]NodeID{src, dst}]; ok {
 		path = append(path, extra)

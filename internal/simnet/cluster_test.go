@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -196,6 +197,40 @@ func TestClusterFailNodeBreaksBothDirections(t *testing.T) {
 	}
 	if nBroken != 2 {
 		t.Errorf("broken transfers = %d, want 2 (both touching node 1)", nBroken)
+	}
+}
+
+// TestBreakOrderDeterministic fails a node under seven in-flight transfers:
+// their broken completions all surface after the same retry timeout, so the
+// order the failure broke them in is the order they fire in. A fixed seed
+// must fix that order — the transfers' launch order — on every run.
+func TestBreakOrderDeterministic(t *testing.T) {
+	breakOrder := func() []NodeID {
+		s := NewSim(1)
+		c, err := NewCluster(s, testConfig(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var order []NodeID
+		for dst := NodeID(1); dst < 8; dst++ {
+			dst := dst
+			c.Transfer(0, dst, 100, func(broken bool) {
+				if !broken {
+					t.Errorf("transfer to %d completed through a failed node", dst)
+				}
+				order = append(order, dst)
+			})
+		}
+		s.RunUntil(0.5)
+		c.FailNode(0)
+		s.Run()
+		return order
+	}
+	want := []NodeID{1, 2, 3, 4, 5, 6, 7}
+	for run := 0; run < 30; run++ {
+		if got := breakOrder(); !slices.Equal(got, want) {
+			t.Fatalf("run %d: broken completions in order %v, want %v", run, got, want)
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func (c *CPU) Exec(cost float64, fn func()) float64 {
 	c.free = end
 	c.busy += cost
 	c.injectedDelay += delay
-	c.sim.At(end, fn)
+	c.sim.schedule(end, fn)
 	return end
 }
 
@@ -117,7 +117,7 @@ func (c *CPU) Deliver(fn func()) {
 	}
 	c.lastEvent = now
 	if wake > 0 {
-		c.sim.After(wake, func() { c.Exec(c.cfg.CompletionCost, fn) })
+		c.sim.after(wake, func() { c.Exec(c.cfg.CompletionCost, fn) })
 		return
 	}
 	c.Exec(c.cfg.CompletionCost, fn)

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -29,6 +30,11 @@ type Resource struct {
 	scratchGen uint64
 	scratchIdx int32
 	visitGen   uint64
+
+	// regIdx is the resource's position in its fabric's name-ordered
+	// registry, so a small working set sorts into registry order with an
+	// integer compare.
+	regIdx int
 }
 
 // NewResource returns a resource with the given capacity in bytes per second.
@@ -96,6 +102,13 @@ type Flow struct {
 	// waterfill scratch state
 	fixed    bool
 	visitGen uint64 // component-traversal mark (see Resource.visitGen)
+
+	// A cluster transfer's endpoints and outcome callback, which is what a
+	// link or node failure needs to break it, and the inline backing of its
+	// path (tx, slow-link override, two trunks, rx at most).
+	src, dst  NodeID
+	onOutcome func(Outcome)
+	pathBuf   [5]*Resource
 }
 
 // Rate returns the flow's current allocated rate in bytes per second.
@@ -116,17 +129,20 @@ type Fabric struct {
 
 	// allFlows is the id-ordered registry of flows the fabric has routed:
 	// ids are handed out monotonically and flows append at the tail, so
-	// the slice is always sorted and component() recovers id order by
-	// filtering it instead of sorting — the sort was a quarter of the
-	// event-loop cost at 500+ nodes. Finished flows linger marked until
-	// the registry is half dead, then one compaction sweep drops them.
+	// the slice is always sorted. component() recovers id order by
+	// filtering it when the component spans a good part of the fabric —
+	// sorting such a component was a quarter of the event-loop cost at
+	// 500+ nodes — and by sorting when the component is a few flows among
+	// many. Finished flows linger marked until the registry is half dead,
+	// then one compaction sweep drops them.
 	allFlows     []*Flow
 	finishedDead int
 
 	// allResources is the name-ordered registry of resources the fabric
-	// has routed across (insertion-sorted once per resource lifetime), so
-	// reallocate recovers the deterministic name order by filtering it
-	// instead of re-sorting the working set on every flow event.
+	// has routed across (insertion-sorted once per resource lifetime).
+	// reallocate recovers the deterministic name order from it the same
+	// two ways: filtering it for a large working set, sorting by each
+	// resource's registry index for a small one.
 	allResources []*Resource
 
 	// Traversal and reallocate scratch, reused across calls to keep the
@@ -163,13 +179,17 @@ func (f *Fabric) StartFlow(size float64, path []*Resource, onDone func()) *Flow 
 	if len(path) == 0 {
 		panic("simnet: flow path must contain at least one resource")
 	}
-	fl := &Flow{
-		id:         f.nextID,
-		remaining:  size,
-		path:       path,
-		lastUpdate: f.sim.Now(),
-		onDone:     onDone,
-	}
+	fl := &Flow{path: path}
+	f.start(fl, size, onDone)
+	return fl
+}
+
+// start routes a flow whose path is already set.
+func (f *Fabric) start(fl *Flow, size float64, onDone func()) {
+	fl.id = f.nextID
+	fl.remaining = size
+	fl.lastUpdate = f.sim.Now()
+	fl.onDone = onDone
 	f.nextID++
 	f.allFlows = append(f.allFlows, fl)
 	comp := f.component(fl.path)
@@ -181,9 +201,10 @@ func (f *Fabric) StartFlow(size float64, path []*Resource, onDone func()) *Flow 
 		}
 		r.addFlow(fl)
 	}
+	// The new flow has the highest id, so appending keeps id order.
 	comp = append(comp, fl)
+	f.compFlows = comp
 	f.reallocate(comp)
-	return fl
 }
 
 // Cancel aborts a flow in progress (used for link/node failure injection).
@@ -245,13 +266,22 @@ func (f *Fabric) retireFlow(fl *Flow) {
 }
 
 // registerResource inserts a newly routed resource into the name-ordered
-// registry. Runs once per resource lifetime, so the linear insert is fine.
+// registry. Runs once per resource lifetime, so the linear insert and
+// renumbering are fine.
 func (f *Fabric) registerResource(r *Resource) {
 	i, _ := slices.BinarySearchFunc(f.allResources, r, func(a, b *Resource) int {
 		return strings.Compare(a.name, b.name)
 	})
 	f.allResources = slices.Insert(f.allResources, i, r)
+	for ; i < len(f.allResources); i++ {
+		f.allResources[i].regIdx = i
+	}
 }
+
+// sortCheaper reports whether ordering n discovered items by sorting them
+// beats filtering them out of an ordered registry of size total. Both give
+// the registry's order, so the choice never changes a result.
+func sortCheaper(n, total int) bool { return n*8 <= total }
 
 // component gathers every flow that transitively shares a resource with the
 // given path.
@@ -283,17 +313,20 @@ func (f *Fabric) component(path []*Resource) []*Flow {
 			}
 		}
 	}
-	// Recover deterministic id order by filtering the id-sorted registry
-	// for the marked flows instead of sorting the discovery-ordered set —
-	// O(total live flows) beats O(component · log component) once the
-	// component spans most of the fabric.
-	n := len(flows)
-	flows = flows[:0]
-	for _, fl := range f.allFlows {
-		if fl.visitGen == gen {
-			flows = append(flows, fl)
-			if len(flows) == n {
-				break
+	// Recover deterministic id order: sort a component of a few flows,
+	// filter the id-sorted registry for the marked flows of one that spans
+	// much of the fabric, where O(total live flows) beats
+	// O(component · log component).
+	if n := len(flows); sortCheaper(n, len(f.allFlows)) {
+		slices.SortFunc(flows, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
+	} else {
+		flows = flows[:0]
+		for _, fl := range f.allFlows {
+			if fl.visitGen == gen {
+				flows = append(flows, fl)
+				if len(flows) == n {
+					break
+				}
 			}
 		}
 	}
@@ -326,42 +359,12 @@ func (f *Fabric) reallocate(flows []*Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	f.gen++
-	gen := f.gen
 	f.prevRates = f.prevRates[:0]
-	need := 0
 	for _, fl := range flows {
 		f.prevRates = append(f.prevRates, fl.rate)
 		fl.fixed = false
-		for _, r := range fl.path {
-			if r.scratchGen != gen {
-				r.scratchGen = gen
-				need++
-			}
-		}
 	}
-	// Deterministic bottleneck order: ties in fair share resolve by resource
-	// name, independent of discovery order. The name order comes free from
-	// filtering the sorted registry for the marked resources — no per-event
-	// sort.
-	f.resources = f.resources[:0]
-	f.states = f.states[:0]
-	for _, r := range f.allResources {
-		if r.scratchGen != gen {
-			continue
-		}
-		r.scratchIdx = int32(len(f.resources))
-		f.resources = append(f.resources, r)
-		f.states = append(f.states, resState{cap: r.capacity})
-		if len(f.resources) == need {
-			break
-		}
-	}
-	for _, fl := range flows {
-		for _, r := range fl.path {
-			f.states[r.scratchIdx].count++
-		}
-	}
+	f.workingSet(flows)
 
 	// Waterfill with a lazy min-heap over fair shares. Every working-set
 	// resource starts with one entry; fixing a bottleneck's flows only ever
@@ -414,6 +417,48 @@ func (f *Fabric) reallocate(flows []*Flow) {
 			continue
 		}
 		f.scheduleCompletion(fl)
+	}
+}
+
+// workingSet loads f.resources with the resources the flows cross, numbered
+// in deterministic bottleneck order, and f.states with their capacities and
+// flow counts. Ties in fair share resolve by resource name, independent of
+// discovery order: a small working set sorts into registry order, a large
+// one is filtered out of the name-sorted registry.
+func (f *Fabric) workingSet(flows []*Flow) {
+	f.gen++
+	gen := f.gen
+	f.resources = f.resources[:0]
+	for _, fl := range flows {
+		for _, r := range fl.path {
+			if r.scratchGen != gen {
+				r.scratchGen = gen
+				f.resources = append(f.resources, r)
+			}
+		}
+	}
+	if need := len(f.resources); sortCheaper(need, len(f.allResources)) {
+		slices.SortFunc(f.resources, func(a, b *Resource) int { return cmp.Compare(a.regIdx, b.regIdx) })
+	} else {
+		f.resources = f.resources[:0]
+		for _, r := range f.allResources {
+			if r.scratchGen == gen {
+				f.resources = append(f.resources, r)
+				if len(f.resources) == need {
+					break
+				}
+			}
+		}
+	}
+	f.states = f.states[:0]
+	for i, r := range f.resources {
+		r.scratchIdx = int32(i)
+		f.states = append(f.states, resState{cap: r.capacity})
+	}
+	for _, fl := range flows {
+		for _, r := range fl.path {
+			f.states[r.scratchIdx].count++
+		}
 	}
 }
 
@@ -505,11 +550,10 @@ func (f *Fabric) heapPop() shareEntry {
 	return top
 }
 
+// remove deletes fl from flows in place, keeping the order of the rest.
 func remove(flows []*Flow, fl *Flow) []*Flow {
-	for i, g := range flows {
-		if g == fl {
-			return append(flows[:i:i], flows[i+1:]...)
-		}
+	if i := slices.Index(flows, fl); i >= 0 {
+		return slices.Delete(flows, i, i+1)
 	}
 	return flows
 }

@@ -18,7 +18,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"math/rand"
 	"time"
 )
@@ -27,9 +26,25 @@ import (
 type Sim struct {
 	now    float64
 	seq    int64
-	events eventHeap
+	events []entry // binary min-heap ordered by (time, seq)
 	rng    *rand.Rand
 }
+
+// entry is one queued callback, held by value so the heap's sifts compare
+// times and sequence numbers without dereferencing anything. ev is the
+// cancellation handle, nil for callbacks scheduled without one.
+type entry struct {
+	time float64
+	seq  int64
+	fn   func()
+	ev   *Event
+}
+
+func (e *entry) before(o *entry) bool {
+	return e.time < o.time || (e.time == o.time && e.seq < o.seq)
+}
+
+func (e *entry) cancelled() bool { return e.ev != nil && e.ev.cancelled }
 
 // NewSim returns an engine whose clock starts at zero. The seed fixes all
 // randomness used by delay injectors and workload generators attached to it.
@@ -51,18 +66,70 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // runs the event at the current time (events never travel backwards).
 func (s *Sim) At(t float64, fn func()) *Event {
-	if t < s.now {
-		t = s.now
-	}
-	ev := &Event{time: t, seq: s.seq, fn: fn}
-	s.seq++
-	heap.Push(&s.events, ev)
+	ev := &Event{}
+	ev.time = s.push(t, fn, ev)
 	return ev
 }
 
 // After schedules fn to run d seconds of virtual time from now.
 func (s *Sim) After(d float64, fn func()) *Event {
 	return s.At(s.now+d, fn)
+}
+
+// schedule is At for callers that never cancel: it allocates no handle.
+func (s *Sim) schedule(t float64, fn func()) { s.push(t, fn, nil) }
+
+// after is After for callers that never cancel.
+func (s *Sim) after(d float64, fn func()) { s.push(s.now+d, fn, nil) }
+
+// push queues fn at t, clamped to the present, and returns the time used.
+func (s *Sim) push(t float64, fn func(), ev *Event) float64 {
+	if t < s.now {
+		t = s.now
+	}
+	s.events = append(s.events, entry{time: t, seq: s.seq, fn: fn, ev: ev})
+	s.seq++
+	h := s.events
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return t
+}
+
+// pop removes the earliest entry; the queue must be non-empty.
+func (s *Sim) pop() entry {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = entry{}
+	h = h[:n]
+	i := 0
+	for {
+		l, m := 2*i+1, i
+		if l >= n {
+			break
+		}
+		if h[l].before(&h[m]) {
+			m = l
+		}
+		if r := l + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	s.events = h
+	return top
 }
 
 // Run executes events until the queue is empty and returns the final time.
@@ -76,11 +143,10 @@ func (s *Sim) Run() float64 {
 // It reports whether the queue was drained.
 func (s *Sim) RunUntil(deadline float64) bool {
 	for {
-		ev := s.peek()
-		if ev == nil {
+		if !s.dropCancelled() {
 			return true
 		}
-		if ev.time > deadline {
+		if s.events[0].time > deadline {
 			s.now = deadline
 			return false
 		}
@@ -91,47 +157,42 @@ func (s *Sim) RunUntil(deadline float64) bool {
 // Step executes the single earliest pending event. It reports whether an
 // event was executed.
 func (s *Sim) Step() bool {
-	for {
-		if s.events.Len() == 0 {
-			return false
-		}
-		ev, ok := heap.Pop(&s.events).(*Event)
-		if !ok || ev.cancelled {
-			continue
-		}
-		s.now = ev.time
-		ev.fn()
-		return true
+	if !s.dropCancelled() {
+		return false
 	}
+	e := s.pop()
+	s.now = e.time
+	e.fn()
+	return true
 }
 
 // Pending reports the number of live queued events.
 func (s *Sim) Pending() int {
 	n := 0
-	for _, ev := range s.events {
-		if !ev.cancelled {
+	for i := range s.events {
+		if !s.events[i].cancelled() {
 			n++
 		}
 	}
 	return n
 }
 
-func (s *Sim) peek() *Event {
-	for s.events.Len() > 0 {
-		if ev := s.events[0]; !ev.cancelled {
-			return ev
+// dropCancelled discards cancelled entries at the head of the queue and
+// reports whether a live one remains.
+func (s *Sim) dropCancelled() bool {
+	for len(s.events) > 0 {
+		if !s.events[0].cancelled() {
+			return true
 		}
-		heap.Pop(&s.events)
+		s.pop()
 	}
-	return nil
+	return false
 }
 
 // Event is a handle to a scheduled callback; it can be cancelled before it
 // fires.
 type Event struct {
 	time      float64
-	seq       int64
-	fn        func()
 	cancelled bool
 }
 
@@ -141,32 +202,3 @@ func (e *Event) Cancel() { e.cancelled = true }
 
 // Time returns the virtual time the event is scheduled for.
 func (e *Event) Time() float64 { return e.time }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*Event)
-	if ok {
-		*h = append(*h, ev)
-	}
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
-}

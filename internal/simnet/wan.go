@@ -243,13 +243,13 @@ func (c *Cluster) TransferFrame(src, dst NodeID, size float64, onDone func(Outco
 func (c *Cluster) frame(src, dst NodeID, size float64, tolerant bool, onDone func(Outcome)) {
 	switch c.frameFate(src, dst, c.pathLoss(src, dst)) {
 	case OutcomeBroken:
-		c.sim.After(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
+		c.sim.after(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
 		return
 	case OutcomeLost:
 		if !tolerant {
 			// Break semantics: the NIC's hardware retries cannot recover on
 			// a fabric modelled without them, so a drop is retry exhaustion.
-			c.sim.After(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
+			c.sim.after(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
 			return
 		}
 		// The frame crosses the fabric and is dropped downstream: charge
@@ -268,24 +268,24 @@ func (c *Cluster) frame(src, dst NodeID, size float64, tolerant bool, onDone fun
 // severed before or during the flow.
 func (c *Cluster) launch(src, dst NodeID, size, extra float64, result Outcome, onDone func(Outcome)) {
 	if src == dst {
-		c.sim.After(c.pathLatency(src, dst)+extra, func() { onDone(result) })
+		c.sim.after(c.pathLatency(src, dst)+extra, func() { onDone(result) })
 		return
 	}
-	path := c.path(src, dst)
-	c.sim.After(c.pathLatency(src, dst), func() {
+	// The route is fixed at launch, before the latency hop, as a NIC fixes
+	// it when the frame enters its pipeline.
+	fl := &Flow{src: src, dst: dst, onOutcome: onDone}
+	fl.path = c.route(fl.pathBuf[:0], src, dst)
+	c.sim.after(c.pathLatency(src, dst), func() {
 		if c.pairBroken(src, dst) {
-			c.sim.After(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
+			c.sim.after(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
 			return
 		}
-		var fl *Flow
-		fl = c.fabric.StartFlow(size, path, func() {
-			delete(c.inFlight, fl)
+		c.fabric.start(fl, size, func() {
 			if extra > 0 {
-				c.sim.After(extra, func() { onDone(result) })
+				c.sim.after(extra, func() { onDone(result) })
 				return
 			}
 			onDone(result)
 		})
-		c.inFlight[fl] = transferState{src: src, dst: dst, onDone: onDone}
 	})
 }
