@@ -108,7 +108,6 @@ func (p *Provider) Connect(peer rdma.NodeID, token uint64) (rdma.QueuePair, erro
 		return nil, fmt.Errorf("simnic: peer %d outside cluster of %d nodes", peer, p.net.cluster.Config().Nodes)
 	}
 	qp := &queuePair{local: p, peer: peer, token: token, tolerant: p.net.tolerant}
-	qp.transmit = qp.transmitNext
 	if err := p.AddQP(nicbase.QPKey{Peer: peer, Token: token}, qp); err != nil {
 		return nil, err
 	}
@@ -172,8 +171,10 @@ type sendEntry struct {
 	// delivered.
 	lost bool
 
-	// The fabric's completion callback for the queue pair's wire, bound to
-	// this entry once: a drained entry is recycled for a later launch.
+	// The entry's launch and the fabric's completion callback for the queue
+	// pair's wire, bound to this entry once: a drained entry is recycled for
+	// a later launch.
+	start       func()
 	landed      func(broken bool)
 	frameLanded func(simnet.Outcome)
 	next        *sendEntry // spare list link
@@ -195,11 +196,9 @@ type queuePair struct {
 	remote   *queuePair
 	pending  fifo[sendWR]     // posted, not yet launched
 	flight   fifo[*sendEntry] // launched, in post order (reorder buffer)
-	sent     int              // flight entries handed to the fabric, a prefix
 	spare    *sendEntry       // drained entries awaiting reuse
 	recvs    fifo[recvWR]
 	arrivals fifo[arrival]
-	transmit func() // transmitNext, bound once
 }
 
 var _ rdma.QueuePair = (*queuePair)(nil)
@@ -274,8 +273,7 @@ func (q *queuePair) postCheck() error {
 // maybeStart launches queued sends until the window is full, the queue is
 // empty, or the endpoints are not yet paired. Each launch pays the software
 // post cost through the CPU model (offload bypasses it) and then becomes a
-// concurrent fabric flow. The CPU model runs a node's tasks in submission
-// order, so launches reach transmitNext in post order.
+// concurrent fabric flow.
 func (q *queuePair) maybeStart() {
 	if q.broken || q.remote == nil {
 		return
@@ -285,10 +283,10 @@ func (q *queuePair) maybeStart() {
 		e.wr = q.pending.pop()
 		q.flight.push(e)
 		if q.local.offload {
-			q.transmitNext()
+			e.start()
 			continue
 		}
-		q.local.cpu().Exec(q.local.cpu().Config().PostCost, q.transmit)
+		q.local.cpu().Exec(q.local.cpu().Config().PostCost, e.start)
 	}
 }
 
@@ -300,6 +298,7 @@ func (q *queuePair) entry() *sendEntry {
 		return e
 	}
 	e := &sendEntry{}
+	e.start = func() { q.transmit(e) }
 	if q.tolerant {
 		e.frameLanded = func(o simnet.Outcome) { q.onFrameLanded(e, o) }
 	} else {
@@ -308,14 +307,11 @@ func (q *queuePair) entry() *sendEntry {
 	return e
 }
 
-// transmitNext hands the oldest launched entry not yet on the wire to the
-// fabric.
-func (q *queuePair) transmitNext() {
+// transmit hands a launched entry to the fabric.
+func (q *queuePair) transmit(e *sendEntry) {
 	if q.broken {
 		return
 	}
-	e := *q.flight.at(q.sent)
-	q.sent++
 	src := simnet.NodeID(q.local.NodeID())
 	dst := simnet.NodeID(q.peer)
 	if q.tolerant {
@@ -387,9 +383,8 @@ func (q *queuePair) drainFlight() {
 			return
 		}
 		e := q.flight.pop()
-		q.sent--
 		wr := e.wr
-		*e = sendEntry{landed: e.landed, frameLanded: e.frameLanded, next: q.spare}
+		*e = sendEntry{start: e.start, landed: e.landed, frameLanded: e.frameLanded, next: q.spare}
 		q.spare = e
 		op := rdma.OpSend
 		if wr.write {
@@ -466,7 +461,6 @@ func (q *queuePair) breakConn() {
 		return
 	}
 	q.broken = true
-	q.sent = 0
 	// Completions are delivered through the CQ's submit hook, never from
 	// inside Complete, so draining the queues while failing them is safe.
 	for q.flight.len() > 0 {

@@ -130,11 +130,11 @@ type Fabric struct {
 	// allFlows is the id-ordered registry of flows the fabric has routed:
 	// ids are handed out monotonically and flows append at the tail, so
 	// the slice is always sorted. component() recovers id order by
-	// filtering it when the component spans a good part of the fabric —
-	// sorting such a component was a quarter of the event-loop cost at
-	// 500+ nodes — and by sorting when the component is a few flows among
-	// many. Finished flows linger marked until the registry is half dead,
-	// then one compaction sweep drops them.
+	// filtering it when the component spans a good part of the fabric (the
+	// trunked Apt runs: sorting alone makes rdmcbench -exp fig10b about
+	// 1.5x slower) and by sorting when the component is a few flows among
+	// many (sim_scale256). Finished flows linger marked until the registry
+	// is half dead, then one compaction sweep drops them.
 	allFlows     []*Flow
 	finishedDead int
 
@@ -280,8 +280,12 @@ func (f *Fabric) registerResource(r *Resource) {
 
 // sortCheaper reports whether ordering n discovered items by sorting them
 // beats filtering them out of an ordered registry of size total. Both give
-// the registry's order, so the choice never changes a result.
-func sortCheaper(n, total int) bool { return n*8 <= total }
+// the registry's order, so the choice never changes a result. The crossover
+// is measured by BenchmarkOrderRecovery: at the registry sizes of the Apt
+// and 256-node runs (256 to 1024 entries) the two cost the same when the
+// registry is 16 to 24 times the item count, and sorting costs 2.5 to 4.5
+// times the filter at 8.
+func sortCheaper(n, total int) bool { return n*16 <= total }
 
 // component gathers every flow that transitively shares a resource with the
 // given path.

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -327,5 +328,51 @@ func TestFabricFastPathMatchesRegistryWalk(t *testing.T) {
 	}
 	if sorted == 0 || filtered == 0 {
 		t.Fatalf("the workloads recovered %d orderings by sorting and %d by filtering; both paths must run", sorted, filtered)
+	}
+}
+
+// BenchmarkOrderRecovery times the two ways the fabric recovers id order for
+// a component of n flows among a registry of total: sorting the discovered
+// flows, and filtering the registry for the marked ones (stopping at the
+// last). sortCheaper's crossover comes from it; run with
+// go test -run '^$' -bench OrderRecovery ./internal/simnet/
+func BenchmarkOrderRecovery(b *testing.B) {
+	for _, total := range []int{256, 512, 1024} {
+		reg := make([]*Flow, total)
+		for i := range reg {
+			reg[i] = &Flow{id: int64(i)}
+		}
+		for _, ratio := range []int{4, 8, 12, 16, 24, 32} {
+			n := total / ratio
+			const gen = 1
+			found := make([]*Flow, n)
+			for i, p := range rand.New(rand.NewSource(1)).Perm(total)[:n] {
+				found[i] = reg[p]
+				reg[p].visitGen = gen
+			}
+			buf := make([]*Flow, n)
+			b.Run(fmt.Sprintf("total=%d/ratio=%d/sort", total, ratio), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(buf, found)
+					slices.SortFunc(buf, func(a, b *Flow) int { return cmp.Compare(a.id, b.id) })
+				}
+			})
+			b.Run(fmt.Sprintf("total=%d/ratio=%d/filter", total, ratio), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(buf, found)
+					out := buf[:0]
+					for _, fl := range reg {
+						if fl.visitGen == gen {
+							if out = append(out, fl); len(out) == n {
+								break
+							}
+						}
+					}
+				}
+			})
+			for _, fl := range found {
+				fl.visitGen = 0
+			}
+		}
 	}
 }
