@@ -131,6 +131,25 @@ func (b *Base) AddQP(key QPKey, qp rdma.QueuePair) error {
 	return nil
 }
 
+// RemoveQP forgets a closed queue pair, so a later Connect under the same
+// key builds a fresh one and the table holds only live queue pairs. It is a
+// no-op unless key still maps to qp: a close racing a re-connect never
+// evicts its successor.
+func (b *Base) RemoveQP(key QPKey, qp rdma.QueuePair) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.byKey[key] != qp {
+		return
+	}
+	delete(b.byKey, key)
+	for i, q := range b.qps {
+		if q == qp {
+			b.qps = append(b.qps[:i], b.qps[i+1:]...)
+			break
+		}
+	}
+}
+
 // Shutdown marks the base closed and hands back every registered queue pair
 // exactly once, for the transport to break. The second result is false when
 // the base was already closed (Close must be idempotent).

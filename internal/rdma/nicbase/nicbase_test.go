@@ -140,6 +140,24 @@ func TestEnsureQPParksAndFinds(t *testing.T) {
 	}
 }
 
+func TestRemoveQPForgetsOnlyItsOwnEntry(t *testing.T) {
+	b := newBase(NewEventCQ(func(fn func()) { fn() }))
+	key := QPKey{Peer: 1, Token: 7}
+	old, _, _ := b.EnsureQP(key, func() rdma.QueuePair { return &fakeQP{} })
+	b.RemoveQP(key, old)
+	if len(b.byKey) != 0 || len(b.qps) != 0 {
+		t.Fatalf("after RemoveQP: %d keys, %d queue pairs, want 0", len(b.byKey), len(b.qps))
+	}
+	fresh, created, _ := b.EnsureQP(key, func() rdma.QueuePair { return &fakeQP{} })
+	if !created || fresh == old {
+		t.Fatal("EnsureQP after RemoveQP returned the removed queue pair")
+	}
+	b.RemoveQP(key, old) // a late close of the old pair must not evict its successor
+	if b.byKey[key] != fresh || len(b.qps) != 1 {
+		t.Fatalf("stale RemoveQP evicted the live queue pair")
+	}
+}
+
 func TestShutdownHandsBackQueuePairsOnce(t *testing.T) {
 	b := newBase(NewEventCQ(func(fn func()) { fn() }))
 	_, _, _ = b.EnsureQP(QPKey{Peer: 1, Token: 1}, func() rdma.QueuePair { return &fakeQP{} })

@@ -4,20 +4,22 @@ import (
 	"sync"
 
 	"rdmc/internal/rdma"
+	"rdmc/internal/rdma/nicbase"
 )
 
 // endpoint is one half of an intra-host queue pair. All mutable state is
-// guarded by the owning Exchange's mutex; posts deliver synchronously into
-// the peer half while the lock is held, and the side effects that may
-// re-enter a provider — completions and region writes — are collected in an
-// effects set and run after the lock drops.
+// guarded by the pair's lock, which both halves share; posts deliver
+// synchronously into the peer half while the lock is held, and the side
+// effects that may re-enter a provider — completions and region writes —
+// are collected in an effects set and run after the lock drops.
 type endpoint struct {
 	x     *Exchange
+	p     *pair
 	h     Host
 	peer  rdma.NodeID
 	token uint64
 
-	// Guarded by x.mu.
+	// Guarded by p.mu.
 	remote   *endpoint
 	pending  []outWR // posts queued before the halves paired, FIFO
 	recvs    fifo[recvWR]
@@ -135,14 +137,10 @@ func (fx *effects) complete(e *endpoint, c rdma.Completion) {
 // is observable), completions second. A write that misses its target region
 // breaks the pair, exactly as a real NIC fails the connection on an invalid
 // remote access. fx recycles into the pool; it must not be used after run.
-func (fx *effects) run(x *Exchange) {
+func (fx *effects) run() {
 	for _, a := range fx.applies {
 		if err := a.h.ApplyWrite(a.region, a.offset, a.length, a.data); err != nil {
-			bx := newEffects()
-			x.mu.Lock()
-			a.src.breakBothLocked(bx)
-			x.mu.Unlock()
-			bx.run(x)
+			a.src.breakBoth()
 		}
 	}
 	for _, e := range fx.comps {
@@ -175,36 +173,36 @@ func (e *endpoint) PostWrite(region rdma.RegionID, offset int, data []byte, wrID
 }
 
 func (e *endpoint) post(wr outWR) error {
-	e.x.mu.Lock()
+	e.p.mu.Lock()
 	if e.broken {
-		e.x.mu.Unlock()
+		e.p.mu.Unlock()
 		return rdma.ErrBroken
 	}
 	if err := e.h.CheckPost(); err != nil {
-		e.x.mu.Unlock()
+		e.p.mu.Unlock()
 		return err
 	}
 	if e.remote == nil {
 		e.pending = append(e.pending, wr)
-		e.x.mu.Unlock()
+		e.p.mu.Unlock()
 		return nil
 	}
 	fx := newEffects()
 	e.deliverLocked(wr, fx)
-	e.x.mu.Unlock()
-	fx.run(e.x)
+	e.p.mu.Unlock()
+	fx.run()
 	return nil
 }
 
 // PostRecv implements rdma.QueuePair.
 func (e *endpoint) PostRecv(buf rdma.Buffer, wrID uint64) error {
-	e.x.mu.Lock()
+	e.p.mu.Lock()
 	if e.broken {
-		e.x.mu.Unlock()
+		e.p.mu.Unlock()
 		return rdma.ErrBroken
 	}
 	if err := e.h.CheckPost(); err != nil {
-		e.x.mu.Unlock()
+		e.p.mu.Unlock()
 		return err
 	}
 	if e.arrivals.len() > 0 {
@@ -212,8 +210,8 @@ func (e *endpoint) PostRecv(buf rdma.Buffer, wrID uint64) error {
 		a := e.arrivals.peek()
 		if a.data != nil && buf.Data != nil && len(buf.Data) < len(a.data) {
 			e.breakBothLocked(fx)
-			e.x.mu.Unlock()
-			fx.run(e.x)
+			e.p.mu.Unlock()
+			fx.run()
 			return rdma.ErrBufferTooSmall
 		}
 		e.arrivals.pop()
@@ -221,24 +219,31 @@ func (e *endpoint) PostRecv(buf rdma.Buffer, wrID uint64) error {
 		if a.pooled {
 			e.h.Pool().Put(a.data)
 		}
-		e.x.mu.Unlock()
-		fx.run(e.x)
+		e.p.mu.Unlock()
+		fx.run()
 		return nil
 	}
 	e.recvs.push(recvWR{buf: buf, wrID: wrID})
-	e.x.mu.Unlock()
+	e.p.mu.Unlock()
 	return nil
 }
 
 // Close implements rdma.QueuePair: both halves break and every outstanding
-// work request on either side completes with StatusBroken.
+// work request on either side completes with StatusBroken. The half then
+// leaves its host's table and its pair record.
 func (e *endpoint) Close() error {
-	fx := newEffects()
-	e.x.mu.Lock()
-	e.breakBothLocked(fx)
-	e.x.mu.Unlock()
-	fx.run(e.x)
+	e.breakBoth()
+	e.h.RemoveQP(nicbase.QPKey{Peer: e.peer, Token: e.token}, e)
+	e.x.leave(e)
 	return nil
+}
+
+func (e *endpoint) breakBoth() {
+	fx := newEffects()
+	e.p.mu.Lock()
+	e.breakBothLocked(fx)
+	e.p.mu.Unlock()
+	fx.run()
 }
 
 // deliverLocked moves one work request into the paired half: writes become

@@ -25,6 +25,11 @@
 // contract on rdma.QueuePair; because delivery happens inside the post
 // call, the payload has always been copied out (to the peer's buffer or to
 // staging) by the time the completion is observable.
+//
+// Locking: each queue pair has one lock, held by both halves for every
+// post, match, copy and break, so copies on different queue pairs run in
+// parallel. Lock order: Base.mu → Exchange.mu when pairing, pair lock →
+// Base.mu on posts; Exchange.mu is never held across a copy.
 package shmnic
 
 import (
@@ -46,26 +51,52 @@ type Host interface {
 	Complete(rdma.Completion)
 	ApplyWrite(id rdma.RegionID, offset, length int, payload []byte) error
 	EnsureQP(key nicbase.QPKey, create func() rdma.QueuePair) (rdma.QueuePair, bool, error)
+	RemoveQP(key nicbase.QPKey, qp rdma.QueuePair)
 	// Pool stages early arrivals; co-hosting transports share their own so
 	// one set of size classes serves the whole node.
 	Pool() *nicbase.BufPool
 }
 
 // Exchange is one intra-host communication domain: the set of hosts whose
-// ranks reach each other through shared memory. Its mutex serializes every
-// endpoint state transition in the domain — pairing, posting, matching,
-// breaking — which keeps the cross-endpoint delivery logic free of lock
-// ordering concerns; completions and region writes are applied after the
-// lock drops so the completion queue and region watchers can re-enter the
-// providers.
+// ranks reach each other through shared memory. Its mutex guards only the
+// host registry and the pair table and is never held across a copy. Lock
+// order: Base.mu → Exchange.mu when pairing (EnsureQP creates endpoints
+// under the host's lock), pair lock → Base.mu on posts (CheckPost).
+// Completions and region writes are applied after the pair lock drops, so
+// the completion queue and region watchers can re-enter the providers.
 type Exchange struct {
 	mu    sync.Mutex
 	hosts map[rdma.NodeID]Host
+	pairs map[pairKey]*pair
+}
+
+// pairKey names one queue pair from either end: (lower node, higher node,
+// token).
+type pairKey struct {
+	lo, hi rdma.NodeID
+	token  uint64
+}
+
+// keyOf returns the pair key of the half owned by local, and which slot of
+// the pair record that half occupies.
+func keyOf(local, peer rdma.NodeID, token uint64) (pairKey, int) {
+	if local < peer {
+		return pairKey{lo: local, hi: peer, token: token}, 0
+	}
+	return pairKey{lo: peer, hi: local, token: token}, 1
+}
+
+// pair is one intra-host queue pair: the lock both halves hold for every
+// state transition, and the halves themselves. The record lives in the
+// exchange's table from the first half's creation until both halves close.
+type pair struct {
+	mu   sync.Mutex
+	half [2]*endpoint // guarded by Exchange.mu
 }
 
 // NewExchange creates an empty intra-host domain.
 func NewExchange() *Exchange {
-	return &Exchange{hosts: make(map[rdma.NodeID]Host)}
+	return &Exchange{hosts: make(map[rdma.NodeID]Host), pairs: make(map[pairKey]*pair)}
 }
 
 // Register adds a host to the domain. Co-located hosts must all register
@@ -99,10 +130,36 @@ func (x *Exchange) Has(peer rdma.NodeID) bool {
 }
 
 // NewEndpoint creates the local half of an intra-host queue pair owned by
-// h. The caller registers it in the host's queue-pair table (EnsureQP) and
-// then calls Pair to link it with the peer's half once both exist.
+// h and joins it to the pair record both halves share. The caller registers
+// it in the host's queue-pair table (EnsureQP) and then calls Pair to link
+// it with the peer's half once both exist.
 func (x *Exchange) NewEndpoint(h Host, peer rdma.NodeID, token uint64) rdma.QueuePair {
-	return &endpoint{x: x, h: h, peer: peer, token: token}
+	k, side := keyOf(h.NodeID(), peer, token)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	p := x.pairs[k]
+	if p == nil {
+		p = new(pair)
+		x.pairs[k] = p
+	}
+	ep := &endpoint{x: x, p: p, h: h, peer: peer, token: token}
+	p.half[side] = ep
+	return ep
+}
+
+// leave drops a closed half from its pair record, and the record from the
+// table once both halves have left. Idempotent.
+func (x *Exchange) leave(e *endpoint) {
+	k, side := keyOf(e.h.NodeID(), e.peer, e.token)
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	p := e.p
+	if p.half[side] == e {
+		p.half[side] = nil
+	}
+	if p.half[0] == nil && p.half[1] == nil && x.pairs[k] == p {
+		delete(x.pairs, k)
+	}
 }
 
 // Pair links ep with the matching endpoint on the peer host, creating (and
@@ -128,13 +185,14 @@ func (x *Exchange) Pair(qp rdma.QueuePair) {
 		return // peer closed between lookup and rendezvous
 	}
 	remote, ok := rqp.(*endpoint)
-	if !ok {
-		return // key occupied by another transport's queue pair
+	if !ok || remote.p != ep.p {
+		return // key held by another transport's queue pair, or by a closing earlier one
 	}
 
-	x.mu.Lock()
+	p := ep.p
+	p.mu.Lock()
 	if ep.remote != nil || remote.remote != nil || ep.broken || remote.broken {
-		x.mu.Unlock()
+		p.mu.Unlock()
 		return
 	}
 	ep.remote = remote
@@ -142,8 +200,8 @@ func (x *Exchange) Pair(qp rdma.QueuePair) {
 	fx := newEffects()
 	ep.flushLocked(fx)
 	remote.flushLocked(fx)
-	x.mu.Unlock()
-	fx.run(x)
+	p.mu.Unlock()
+	fx.run()
 }
 
 // Config describes one standalone shared-memory provider.

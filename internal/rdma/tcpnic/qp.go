@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rdmc/internal/rdma"
+	"rdmc/internal/rdma/nicbase"
 )
 
 // frame header layout: type(1) virtual(1) imm(4) aux(8) length(4).
@@ -175,9 +176,11 @@ func (q *queuePair) PostRecv(buf rdma.Buffer, wrID uint64) error {
 	return nil
 }
 
-// Close implements rdma.QueuePair.
+// Close implements rdma.QueuePair: the connection breaks and the queue pair
+// leaves the provider's table.
 func (q *queuePair) Close() error {
 	q.breakConn()
+	q.p.RemoveQP(nicbase.QPKey{Peer: q.peer, Token: q.token}, q)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package rdmc_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"rdmc"
+	"rdmc/internal/core"
 )
 
 func TestSimClusterQuickstart(t *testing.T) {
@@ -333,6 +336,89 @@ func TestIntraHostLocalClusterEndToEnd(t *testing.T) {
 	}
 }
 
+// TestIntraHostOverlappingGroups runs two groups with different ids on the
+// same four nodes over shared memory, both sending at once: every node pair
+// carries one queue pair per group token, and every receiver's copy of
+// every message must hash to the sent bytes.
+func TestIntraHostOverlappingGroups(t *testing.T) {
+	nodes, err := rdmc.NewLocalCluster(4, rdmc.WithIntraHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		for _, n := range nodes {
+			_ = n.Close()
+		}
+	}()
+
+	const msgs = 2
+	memberLists := map[int][]int{1: {0, 1, 2, 3}, 2: {3, 2, 1, 0}}
+	sent := make(map[int][][sha256.Size]byte)
+	var (
+		mu   sync.Mutex
+		got  = make(map[[2]int][][sha256.Size]byte) // (group, node) → digests in order
+		wg   sync.WaitGroup
+		root = make(map[int]*rdmc.Group)
+	)
+	for id, members := range memberLists {
+		wg.Add(len(members) * msgs)
+		for _, node := range members {
+			key := [2]int{id, node}
+			g, err := nodes[node].CreateGroup(id, members, rdmc.GroupConfig{BlockSize: 256 << 10}, rdmc.Callbacks{
+				Incoming: func(size int) []byte { return make([]byte, size) },
+				Completion: func(seq int, data []byte, size int) {
+					mu.Lock()
+					got[key] = append(got[key], sha256.Sum256(data[:size]))
+					mu.Unlock()
+					wg.Done()
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Rank() == 0 {
+				root[id] = g
+			}
+		}
+	}
+	var send sync.WaitGroup
+	for id, g := range root {
+		bufs := make([][]byte, msgs)
+		for s := range bufs {
+			bufs[s] = make([]byte, 2<<20)
+			rand.New(rand.NewSource(int64(id*msgs + s))).Read(bufs[s])
+			sent[id] = append(sent[id], sha256.Sum256(bufs[s]))
+		}
+		send.Add(1)
+		go func() {
+			defer send.Done()
+			for _, b := range bufs {
+				if err := g.Send(b); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	send.Wait()
+	waitTimeout(t, &wg, 20*time.Second)
+	mu.Lock()
+	defer mu.Unlock()
+	for id, members := range memberLists {
+		for _, node := range members {
+			digests := got[[2]int{id, node}]
+			if len(digests) != msgs {
+				t.Errorf("group %d node %d delivered %d of %d messages", id, node, len(digests), msgs)
+				continue
+			}
+			for s, d := range digests {
+				if d != sent[id][s] {
+					t.Errorf("group %d node %d message %d: sha256 mismatch", id, node, s)
+				}
+			}
+		}
+	}
+}
+
 func TestTCPMultipleMessagesAndCloseBarrier(t *testing.T) {
 	nodes, err := rdmc.NewLocalCluster(3)
 	if err != nil {
@@ -390,6 +476,104 @@ func TestTCPMultipleMessagesAndCloseBarrier(t *testing.T) {
 	// The paper's close guarantee over a real network.
 	if err := groups[0].DestroyWait(10 * time.Second); err != nil {
 		t.Errorf("close barrier over TCP: %v", err)
+	}
+}
+
+// TestRecreateGroupAfterDestroy destroys a group and creates it again under
+// the same id on the same nodes: the second incarnation must connect fresh
+// queue pairs, not the first one's closed ones, on both data planes.
+func TestRecreateGroupAfterDestroy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []rdmc.ClusterOption
+	}{
+		{"tcp", nil},
+		{"intrahost", []rdmc.ClusterOption{rdmc.WithIntraHost()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes, err := rdmc.NewLocalCluster(3, tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				for _, n := range nodes {
+					_ = n.Close()
+				}
+			}()
+			for round := 0; round < 2; round++ {
+				recreateRound(t, nodes, round)
+			}
+		})
+	}
+}
+
+// recreateRound creates group 7 on every node, multicasts one message,
+// checks every copy and runs the root's close barrier. Members tear down
+// only when the root's destroyed notice reaches them, so their create is
+// retried until the previous incarnation is gone.
+func recreateRound(t *testing.T, nodes []*rdmc.Node, round int) {
+	t.Helper()
+	members := []int{0, 1, 2}
+	msg := make([]byte, 1<<20)
+	rand.New(rand.NewSource(int64(round))).Read(msg)
+	var (
+		mu       sync.Mutex
+		received = make(map[int][]byte)
+		failed   = make(chan error, len(nodes))
+		wg       sync.WaitGroup
+	)
+	wg.Add(len(nodes))
+	var groups []*rdmc.Group
+	for i, n := range nodes {
+		i := i
+		cbs := rdmc.Callbacks{
+			Incoming: func(size int) []byte { return make([]byte, size) },
+			Completion: func(seq int, data []byte, size int) {
+				mu.Lock()
+				received[i] = append([]byte(nil), data...)
+				mu.Unlock()
+				wg.Done()
+			},
+			Failure: func(err error) { failed <- err },
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			g, err := n.CreateGroup(7, members, rdmc.GroupConfig{BlockSize: 256 << 10}, cbs)
+			if errors.Is(err, core.ErrGroupExists) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+				continue
+			}
+			if err != nil {
+				t.Fatalf("round %d: node %d: %v", round, i, err)
+			}
+			groups = append(groups, g)
+			break
+		}
+	}
+	if err := groups[0].Send(msg); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case err := <-failed:
+		t.Fatalf("round %d: %v", round, err)
+	case <-time.After(20 * time.Second):
+		t.Fatalf("round %d: timed out waiting for deliveries", round)
+	}
+	mu.Lock()
+	for i := range nodes {
+		if !bytes.Equal(received[i], msg) {
+			t.Errorf("round %d: node %d received corrupt bytes", round, i)
+		}
+	}
+	mu.Unlock()
+	if err := groups[0].DestroyWait(10 * time.Second); err != nil {
+		t.Fatalf("round %d: close barrier: %v", round, err)
 	}
 }
 
