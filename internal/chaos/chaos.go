@@ -81,6 +81,10 @@ type Scenario struct {
 	// Seed fixes the virtual run.
 	Seed   int64
 	Faults []Fault
+
+	// uniform runs the sessions with uniform delivery, and verify then also
+	// checks that no excluded node delivered anything the survivors do not.
+	uniform bool
 }
 
 // Result reports one passing chaos run.
@@ -319,6 +323,7 @@ func (sc Scenario) sessions(g *simhost.Grid, epilogueSent *bool) ([]*chaosNode, 
 			ID:        1000,
 			Members:   members,
 			BlockSize: sc.BlockBytes,
+			Uniform:   sc.uniform,
 		}, cbs)
 		if err != nil {
 			return nil, fmt.Errorf("node %d: %w", i, err)
@@ -447,6 +452,14 @@ func Run(sc Scenario) (Result, error) {
 			}
 			if st, _ := nd.mgr.State(); st == session.StateActive && nd.mgr.Epoch() > 1 {
 				return fmt.Errorf("excluded node %d installed epoch %d", i, nd.mgr.Epoch())
+			}
+			// Uniform: the survivors deliver the same message at every
+			// sequence an excluded node delivered, so its original-order
+			// prefix is a prefix of theirs.
+			for _, s := range nd.seqs {
+				if rp, ok := ref.payload[s]; sc.uniform && (!ok || rp != nd.payload[s]) {
+					return fmt.Errorf("excluded node %d delivered %#x at sequence %d, the survivors did not", i, nd.payload[s], s)
+				}
 			}
 		}
 		return nil

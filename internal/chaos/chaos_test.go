@@ -46,6 +46,27 @@ func TestChaosScenarios(t *testing.T) {
 	}
 }
 
+// TestChaosScenariosUniform runs the same suite with uniform delivery: the
+// contract above still holds, and no excluded node — crashed, or cut off by
+// the partition — delivered a message the survivors do not.
+func TestChaosScenariosUniform(t *testing.T) {
+	for _, n := range []int{4, 8, 16} {
+		for _, sc := range Scenarios(n, 1) {
+			sc := sc
+			sc.uniform = true
+			t.Run(fmt.Sprintf("%s/n=%d", sc.Name, n), func(t *testing.T) {
+				res, err := Run(sc)
+				if err != nil {
+					t.Fatalf("uniform session run violated the contract: %v", err)
+				}
+				if res.Epochs < 2 || res.Delivered < sc.Epilogue {
+					t.Errorf("majority epoch %d, delivered %d; want a recovery epoch and the epilogue", res.Epochs, res.Delivered)
+				}
+			})
+		}
+	}
+}
+
 // TestChaosResendAccounting pins that a mid-transfer relay crash forces the
 // surviving root to actually re-send: the bytes re-sent must match the
 // resend count and the recovery histogram input must be finite.

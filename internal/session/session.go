@@ -19,7 +19,7 @@
 //	col 1  suspected  bitmap (by original rank) of members it suspects
 //	col 2  installed  highest epoch this member has installed
 //	col 3  proposed   highest epoch this member proposes to install
-//	col 4  have       end of this member's message log (delivered, plus —
+//	col 4  have       end of this member's message log (received, plus —
 //	                  on a root — assigned-but-unsent sequences)
 //
 // On suspicion a member wedges: it freezes the current group (core
@@ -57,6 +57,13 @@
 // the new view has published installed ≥ the new epoch, so a prepare can
 // never race a member that has not yet created its group endpoint (this also
 // closes the equivalent startup race for epoch 1).
+//
+// # Uniform delivery
+//
+// A member delivers up to its frontier: by default its received count, so
+// delivered = have on every non-root. With Config.Uniform it is the minimum
+// of have over the current view (§4.6's stability rule), so delivered trails
+// have until all hold s: if any member delivered s, every survivor does.
 //
 // # Limitations
 //
@@ -166,6 +173,8 @@ type Config struct {
 	// MetadataOnly runs transfers without data buffers (simulation
 	// workloads); Deliver callbacks then carry nil data.
 	MetadataOnly bool
+	// Uniform delays delivery until every view member holds the message.
+	Uniform bool
 	// Throttle, when non-nil, is handed to every epoch's core group so a
 	// multi-tenant service can ration the NIC's send budget across
 	// sessions (see core.SendThrottle). Epoch groups come and go across
@@ -217,10 +226,16 @@ type Stats struct {
 	LastRecovery time.Duration
 }
 
-// logEntry is one sent or delivered message retained for possible re-send.
+// logEntry is one sent or received message retained for possible re-send.
 type logEntry struct {
 	size int64
 	data []byte
+}
+
+// cellPush is one remote table update.
+type cellPush struct {
+	row, col int
+	v        uint64
 }
 
 // Manager is one node's endpoint of a session.
@@ -256,8 +271,13 @@ type Manager struct {
 	log         map[uint64]logEntry
 	stableFloor uint64 // log holds [stableFloor, haveEnd)
 	nextDeliver uint64
+	received    uint64 // end of the core deliveries logged so far
 	haveEnd     uint64
 	queued      []logEntry // root-side sends accepted while wedged
+	ready       []logEntry // the sequences just below nextDeliver not yet handed to Deliver
+	handing     bool       // a thread is running Deliver callbacks
+	pushMu      sync.Mutex // guards pushes; held only to append or take them
+	pushes      []cellPush // remote table updates awaiting mu
 
 	barrier    bool // every member of the current view has installed it
 	resendDone bool
@@ -333,31 +353,49 @@ func (m *Manager) setLocked(col uint, v uint64) {
 	_ = m.table.Set(col, v) // push errors surface as peer-side suspicion
 }
 
-// onTableUpdate runs when a remote member pushes a cell update. Reading the
-// reported cell here is race-free (see sst.New); the shadow is the only
-// table view the protocol reads, so concurrent remote writes to other cells
-// never race a decision.
-func (m *Manager) onTableUpdate(row, col int) {
-	m.mu.Lock()
-	if row != m.myRank {
-		m.rows[row][col] = m.table.Get(row, col)
+// onTableUpdate queues a remote member's cell update, in arrival order, for
+// mu. A provider may run it on the poster's thread (shmnic), a peer session
+// that may hold its own lock while a thread holding ours pushes into it, so a
+// contended mu is awaited on a new goroutine rather than here.
+func (m *Manager) onTableUpdate(row, col int, v uint64) {
+	m.pushMu.Lock()
+	m.pushes = append(m.pushes, cellPush{row, col, v})
+	m.pushMu.Unlock()
+	if m.mu.TryLock() {
+		m.applyPushes()
+	} else {
+		go func() { m.mu.Lock(); m.applyPushes() }()
 	}
+}
+
+// applyPushes folds queued updates into the shadow and reacts; it releases mu.
+func (m *Manager) applyPushes() {
+	m.pushMu.Lock()
+	batch := m.pushes
+	m.pushes = nil
+	m.pushMu.Unlock()
 	var actions []func()
-	switch m.state {
-	case StateActive:
-		switch col {
-		case colSuspected, colProposed:
-			actions = m.reactRemoteLocked(row)
-		case colInstalled:
-			actions = m.tryPumpLocked()
-		case colDelivered:
-			m.pruneLocked()
+	for _, p := range batch {
+		m.rows[p.row][p.col] = p.v // peers write only their own rows
+		switch m.state {
+		case StateActive:
+			switch p.col {
+			case colSuspected, colProposed:
+				actions = append(actions, m.reactRemoteLocked(p.row)...)
+			case colInstalled:
+				actions = append(actions, m.tryPumpLocked()...)
+			case colDelivered:
+				m.pruneLocked()
+			case colHave:
+				m.advanceLocked()
+			}
+		case StateWedged, StateStalled:
+			actions = append(actions, m.tryDecideLocked()...)
 		}
-	case StateWedged, StateStalled:
-		actions = m.tryDecideLocked()
 	}
 	m.mu.Unlock()
 	runAll(actions)
+	m.handOff()
 }
 
 // onNodeFailure receives the engine's externally detected failures (the
@@ -653,6 +691,7 @@ func (m *Manager) installLocked(target uint64, survivors []int) []func() {
 	if !m.rootLocked() {
 		m.dropQueuedLocked()
 	}
+	m.advanceLocked()
 	m.stats.Epochs++
 	lat := m.engine.Now() - m.wedgedAt
 	m.stats.LastRecovery = lat
@@ -767,43 +806,80 @@ func (m *Manager) transmitLocked(e logEntry) {
 // different roots.
 func (m *Manager) onGroupDeliver(epoch uint64, coreSeq int, data []byte, size int) {
 	m.mu.Lock()
-	var actions []func()
 	if epoch == m.epoch && m.state == StateActive {
-		actions = m.deliverLocked(coreSeq, data, size)
+		m.deliverLocked(coreSeq, data, size)
 	}
 	m.mu.Unlock()
-	runAll(actions)
+	m.handOff()
 }
 
 // deliverLocked maps a core delivery onto the session sequence, suppresses
-// re-send duplicates, records the entry, and publishes the new frontier.
-func (m *Manager) deliverLocked(coreSeq int, data []byte, size int) []func() {
+// re-send duplicates, logs the entry, publishes have, and advances delivery.
+func (m *Manager) deliverLocked(coreSeq int, data []byte, size int) {
 	sseq := m.epochBase + uint64(coreSeq)
-	if sseq < m.nextDeliver {
+	if sseq < m.received {
 		m.stats.Duplicates++
-		return nil
+		return
 	}
-	// Core delivers in order, so sseq == nextDeliver.
+	// Core delivers in order, so sseq == received.
 	m.log[sseq] = logEntry{size: int64(size), data: data}
-	m.nextDeliver = sseq + 1
-	m.stats.Delivered++
-	if m.haveEnd < m.nextDeliver {
-		m.haveEnd = m.nextDeliver
+	m.received = sseq + 1
+	if m.haveEnd < m.received {
+		m.haveEnd = m.received
 		m.setLocked(colHave, m.haveEnd) // before delivered: peers must see have ≥ delivered
+	}
+	m.advanceLocked()
+}
+
+// advanceLocked queues [nextDeliver, frontier) for Deliver and publishes it.
+// The frontier is received, or with Uniform its minimum with the view's have.
+func (m *Manager) advanceLocked() {
+	frontier := m.received
+	if m.cfg.Uniform {
+		for r, row := range m.rows { // while active, the view is the unsuspected
+			if m.suspected&(1<<uint(r)) == 0 {
+				frontier = min(frontier, row[colHave])
+			}
+		}
+	}
+	if frontier <= m.nextDeliver {
+		return
+	}
+	for ; m.nextDeliver < frontier; m.nextDeliver++ {
+		if m.cbs.Deliver != nil {
+			m.ready = append(m.ready, m.log[m.nextDeliver])
+		}
+		m.stats.Delivered++
 	}
 	m.setLocked(colDelivered, m.nextDeliver)
 	m.pruneLocked()
-	var actions []func()
-	if fn := m.cbs.Deliver; fn != nil {
-		actions = append(actions, func() { fn(sseq, data, size) })
-	}
-	return actions
 }
 
-// pruneLocked drops log entries every trusted member has delivered; they can
-// never be re-sent.
+// handOff runs Deliver for the ready queue, in order and outside the lock.
+// With Uniform the frontier also advances on the table-push thread, so only
+// the thread that finds no hand-off running drains the queue.
+func (m *Manager) handOff() {
+	m.mu.Lock()
+	for !m.handing && len(m.ready) > 0 {
+		batch, seq := m.ready, m.nextDeliver-uint64(len(m.ready))
+		m.ready, m.handing = nil, true
+		m.mu.Unlock()
+		for i, e := range batch {
+			m.cbs.Deliver(seq+uint64(i), e.data, int(e.size))
+		}
+		m.mu.Lock()
+		m.handing = false
+	}
+	m.mu.Unlock()
+}
+
+// pruneLocked drops log entries every trusted member has delivered, but keeps
+// a root's pending flush from epochBase (Uniform delivery may pass it).
 func (m *Manager) pruneLocked() {
 	min := m.nextDeliver
+	if m.rootLocked() && !m.resendDone {
+		min = m.epochBase
+	}
 	for r := 0; r < m.n; r++ {
 		if r == m.myRank || m.suspected&(1<<uint(r)) != 0 {
 			continue

@@ -6,10 +6,9 @@
 // only after every receiver has a copy of the message, which receivers
 // discover by monitoring the status table."
 //
-// The table is deliberately minimal — a matrix of uint64 counters — which is
-// exactly what the stability protocol needs: member i publishes "I have
-// received messages 0..k of group g" by bumping a counter in its row; every
-// member computes min over the column to learn the stable frontier.
+// The table is deliberately minimal — a matrix of uint64 counters. It only
+// moves cells (member i bumps "I have received messages 0..k" in its row);
+// what the counters mean is the reader's business (package session).
 package sst
 
 import (
@@ -24,13 +23,11 @@ import (
 type Table struct {
 	provider rdma.Provider
 	id       uint32
-	members  []rdma.NodeID
 	rank     int
 	cols     int
 
-	local  []byte             // the full table: len(members) rows × cols × 8 bytes
-	qps    []rdma.QueuePair   // to every other member
-	onPush func(row, col int) // observer for remote updates
+	local []byte           // the full table: len(members) rows × cols × 8 bytes
+	qps   []rdma.QueuePair // to every other member
 }
 
 // region derives the registered-memory id for a table.
@@ -39,14 +36,12 @@ func region(id uint32) rdma.RegionID { return rdma.RegionID(id | 1<<30) }
 // New creates the local endpoint. Every member calls New with identical
 // arguments; rows start zeroed.
 //
-// onPush, when non-nil, runs whenever a remote member pushes an update into
-// the local replica (the polling thread a real SST runs), with the updated
-// row and column. It is installed before any queue pair is connected, so no
-// remote write can ever land unobserved; because a cell has exactly one
-// writer and the watcher runs on the thread that just applied that cell,
-// reading the reported cell from inside the callback is race-free even on
-// multi-threaded transports.
-func New(provider rdma.Provider, id uint32, members []rdma.NodeID, cols int, onPush func(row, col int)) (*Table, error) {
+// onPush, when non-nil, runs for every update a remote member pushes into
+// the local replica (the polling thread a real SST runs), with the cell's
+// row, column and value, read race-free on the applying thread (a cell has
+// one writer). It is installed before any queue pair connects, so no write
+// lands unobserved; it may run on any thread, even inside the pusher's Set.
+func New(provider rdma.Provider, id uint32, members []rdma.NodeID, cols int, onPush func(row, col int, v uint64)) (*Table, error) {
 	if cols < 1 {
 		return nil, fmt.Errorf("sst: need at least one column, got %d", cols)
 	}
@@ -59,7 +54,6 @@ func New(provider rdma.Provider, id uint32, members []rdma.NodeID, cols int, onP
 	t := &Table{
 		provider: provider,
 		id:       id,
-		members:  append([]rdma.NodeID(nil), members...),
 		rank:     -1,
 		cols:     cols,
 		local:    make([]byte, len(members)*cols*8),
@@ -77,10 +71,9 @@ func New(provider rdma.Provider, id uint32, members []rdma.NodeID, cols int, onP
 		return nil, err
 	}
 	if onPush != nil {
-		t.onPush = onPush
 		err := provider.WatchRegion(region(id), func(offset, _ int) {
-			cell := offset / 8
-			onPush(cell/t.cols, cell%t.cols)
+			row, col := offset/8/t.cols, offset/8%t.cols
+			onPush(row, col, t.Get(row, col))
 		})
 		if err != nil {
 			return nil, err
@@ -114,11 +107,10 @@ type regionReleaser interface {
 
 // Close releases the table's endpoint: the queue pairs close and the
 // registered region and its watcher are withdrawn, so a churned-through
-// table leaves nothing reachable from the provider. Local reads (Get, Row,
-// ColumnMin) keep working on the frozen replica; Set after Close fails on
-// every push. Peers' replicas are untouched — they keep this member's last
-// published row, which is exactly the frozen-frontier semantics a wedged
-// session needs.
+// table leaves nothing reachable from the provider. Local reads (Get) keep
+// working on the frozen replica; Set after Close fails on every push. Peers'
+// replicas are untouched — they keep this member's last published row, which
+// is exactly the frozen-frontier semantics a wedged session needs.
 func (t *Table) Close() {
 	for _, qp := range t.qps {
 		if qp != nil {
@@ -143,8 +135,8 @@ func (t *Table) Get(row, col int) uint64 {
 
 // Set publishes a new value for a cell of the local member's own row: it
 // updates the local replica and pushes the cell to every other member with
-// one-sided writes. Values on a row must be monotone for ColumnMin to be
-// meaningful, as in Derecho's monotonic-predicate design.
+// one-sided writes. Per-queue-pair FIFO shows every reader a cell's values in
+// the order they were set, as Derecho's monotonic predicates need.
 //
 // A push that fails — typically because that member died and its queue pair
 // broke — does not stop propagation to the remaining members: during a view
@@ -173,25 +165,4 @@ func (t *Table) Set(col uint, value uint64) error {
 		}
 	}
 	return firstErr
-}
-
-// ColumnMin returns the minimum of a column across all rows — the stable
-// frontier when rows publish monotone progress counters.
-func (t *Table) ColumnMin(col int) uint64 {
-	min := t.Get(0, col)
-	for row := 1; row < len(t.members); row++ {
-		if v := t.Get(row, col); v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Row returns a copy of one row.
-func (t *Table) Row(row int) []uint64 {
-	out := make([]uint64, t.cols)
-	for c := range out {
-		out[c] = t.Get(row, c)
-	}
-	return out
 }

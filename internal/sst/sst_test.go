@@ -57,6 +57,9 @@ func TestSetReplicatesToAllMembers(t *testing.T) {
 	}
 }
 
+// TestColumnMin checks every replica holds every member's cell of a column,
+// so a reader's minimum over the column (the stable frontier a session
+// computes from its rows) is the same at every member.
 func TestColumnMin(t *testing.T) {
 	sim, tables := testTables(t, 4, 1)
 	for i, tb := range tables {
@@ -66,8 +69,16 @@ func TestColumnMin(t *testing.T) {
 	}
 	sim.Run()
 	for i, tb := range tables {
-		if got := tb.ColumnMin(0); got != 10 {
-			t.Errorf("table %d min = %d, want 10", i, got)
+		lo := ^uint64(0)
+		for row := range tables {
+			v := tb.Get(row, 0)
+			if v != uint64(10+row) {
+				t.Errorf("table %d cell (%d,0) = %d, want %d", i, row, v, 10+row)
+			}
+			lo = min(lo, v)
+		}
+		if lo != 10 {
+			t.Errorf("table %d min = %d, want 10", i, lo)
 		}
 	}
 }
@@ -86,13 +97,13 @@ func TestWatchFiresOnRemoteUpdates(t *testing.T) {
 	network := simnic.NewNetwork(cluster)
 	ids := []rdma.NodeID{0, 1}
 	tables := make([]*Table, 2)
-	var updates [][2]int
+	var updates [][3]int
 	for i := range ids {
 		p := network.Provider(ids[i])
 		p.SetHandler(func(rdma.Completion) {})
-		var onPush func(row, col int)
+		var onPush func(row, col int, v uint64)
 		if i == 1 {
-			onPush = func(row, col int) { updates = append(updates, [2]int{row, col}) }
+			onPush = func(row, col int, v uint64) { updates = append(updates, [3]int{row, col, int(v)}) }
 		}
 		if tables[i], err = New(p, 7, ids, 1, onPush); err != nil {
 			t.Fatal(err)
@@ -102,8 +113,8 @@ func TestWatchFiresOnRemoteUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.Run()
-	if len(updates) != 1 || updates[0] != [2]int{0, 0} {
-		t.Errorf("updates = %v, want [[0 0]]", updates)
+	if len(updates) != 1 || updates[0] != [3]int{0, 0, 5} {
+		t.Errorf("updates = %v, want [[0 0 5]]", updates)
 	}
 }
 
@@ -115,9 +126,10 @@ func TestRowCopy(t *testing.T) {
 		}
 	}
 	sim.Run()
-	row := tables[1].Row(0)
-	if row[0] != 0 || row[1] != 100 || row[2] != 200 {
-		t.Errorf("row = %v", row)
+	for c := 0; c < 3; c++ {
+		if got := tables[1].Get(0, c); got != uint64(c)*100 {
+			t.Errorf("cell (0,%d) = %d, want %d", c, got, c*100)
+		}
 	}
 }
 

@@ -62,6 +62,9 @@ type SessionConfig struct {
 	// MetadataOnly runs transfers without payload bytes (simulation
 	// studies); Deliver then carries nil data.
 	MetadataOnly bool
+	// Uniform delivers a message only once every member of the epoch holds
+	// it: if any member delivered it, every survivor delivers it too.
+	Uniform bool
 	// Tenant, when set, paces every epoch of this session under the named
 	// registry tenant's bandwidth weight (the node must have joined a
 	// Registry with QoS enabled; see Node.JoinRegistry). Empty leaves the
@@ -139,6 +142,7 @@ func (n *Node) NewSession(cfg SessionConfig, cbs SessionCallbacks) (*Session, er
 		SendWindow:   cfg.SendWindow,
 		RecvWindow:   cfg.RecvWindow,
 		MetadataOnly: cfg.MetadataOnly,
+		Uniform:      cfg.Uniform,
 		Throttle:     throttle,
 		Observer:     n.observer,
 	}, session.Callbacks{
