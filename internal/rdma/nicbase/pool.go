@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Size classes span 64 B (spill fragments, control payloads) to 4 MB (the
+// Size classes span 64 B (small write and control payloads) to 4 MB (the
 // largest block size the experiments use). Each class holds buffers of
 // exactly its power-of-two capacity, so Put can classify by cap alone and a
 // recycled buffer always satisfies any request that maps to its class.
@@ -18,8 +18,8 @@ const (
 // BufPool recycles block-sized byte buffers across transfers through
 // power-of-two size classes. The dataplane allocates one staging or arrival
 // buffer per block in steady state (the first-block landing area, early
-// arrivals the receiver has not posted for, inbound write payloads, reader
-// spill fragments); classing by size means a workload mixing 1 MB blocks
+// arrivals the receiver has not posted for, inbound write payloads);
+// classing by size means a workload mixing 1 MB blocks
 // with 64 B control payloads recycles both instead of thrashing one shared
 // free list. Requests beyond the largest class fall through to the garbage
 // collector, and Put drops any buffer whose capacity is not an exact class

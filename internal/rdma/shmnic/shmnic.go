@@ -210,8 +210,6 @@ type Config struct {
 	NodeID rdma.NodeID
 	// Exchange is the intra-host domain to join; required.
 	Exchange *Exchange
-	// CompletionBuffer sizes the completion ring; zero selects 1024.
-	CompletionBuffer int
 }
 
 // Provider is a shared-memory NIC for one rank of an intra-host domain.
@@ -230,7 +228,7 @@ func New(cfg Config) (*Provider, error) {
 		return nil, fmt.Errorf("shmnic: node %d needs an exchange", cfg.NodeID)
 	}
 	p := &Provider{ex: cfg.Exchange}
-	p.Init(cfg.NodeID, nicbase.NewRingCQ(cfg.CompletionBuffer))
+	p.Init(cfg.NodeID, nicbase.NewRingCQ(0))
 	if err := cfg.Exchange.Register(p); err != nil {
 		p.CloseCQ()
 		return nil, err

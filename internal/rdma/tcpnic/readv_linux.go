@@ -9,21 +9,20 @@ import (
 	"unsafe"
 )
 
-// vectorReader issues one readv(2) spanning interleaved frame headers and
-// payload buffers, collapsing the data-plane read syscalls: the classic
-// two-read frame decode (header, then payload) becomes a single scatter
-// read covering up to specMax predicted frames whenever the reader can
-// guess where the payloads belong. It integrates with the runtime poller
-// through syscall.RawConn, so a not-ready socket parks the goroutine
-// instead of spinning, and a concurrent Close unblocks it like any
-// net.Conn read.
+// vectorReader issues one readv(2) over two segments: a frame payload's
+// destination, then the frame reader's header array. The bytes after a
+// payload are the next frame's header, so whatever part of it the socket
+// already holds lands in the same syscall, and the classic two-read decode
+// (header, then payload) costs one read per frame on a pipelined stream.
+// It integrates with the runtime poller through syscall.RawConn, so a
+// not-ready socket parks the goroutine instead of spinning, and a
+// concurrent Close unblocks it like any net.Conn read.
 //
 // The iovec array and the fd callback live on the struct and are built
 // once, keeping the per-read path allocation-free.
 type vectorReader struct {
 	rc  syscall.RawConn
-	iov [2 * specMax]syscall.Iovec
-	cnt int
+	iov [2]syscall.Iovec
 	n   int
 	err error
 	fn  func(fd uintptr) bool
@@ -43,7 +42,7 @@ func newVectorReader(conn net.Conn) *vectorReader {
 	v := &vectorReader{rc: rc}
 	v.fn = func(fd uintptr) bool {
 		for {
-			n, _, errno := syscall.Syscall(syscall.SYS_READV, fd, uintptr(unsafe.Pointer(&v.iov[0])), uintptr(v.cnt))
+			n, _, errno := syscall.Syscall(syscall.SYS_READV, fd, uintptr(unsafe.Pointer(&v.iov[0])), uintptr(len(v.iov)))
 			switch errno {
 			case 0:
 				if n == 0 {
@@ -64,21 +63,16 @@ func newVectorReader(conn net.Conn) *vectorReader {
 	return v
 }
 
-// readv scatters one read across segs in order, returning how many bytes
-// landed in total (possibly short — the kernel returns what is buffered, and
-// the count can stop anywhere in the layout). Every segment must be
-// non-empty and the list is bounded by the iovec array (2*specMax entries).
-func (v *vectorReader) readv(segs [][]byte) (int, error) {
-	for i, s := range segs {
-		v.iov[i].Base = &s[0]
-		v.iov[i].SetLen(len(s))
-	}
-	v.cnt = len(segs)
+// readv scatters one read across a then b, returning how many bytes landed
+// in total: possibly short, since the kernel returns what is buffered, and
+// bytes reach b only once a is full. Both segments must be non-empty.
+func (v *vectorReader) readv(a, b []byte) (int, error) {
+	v.iov[0].Base, v.iov[1].Base = &a[0], &b[0]
+	v.iov[0].SetLen(len(a))
+	v.iov[1].SetLen(len(b))
 	v.n, v.err = 0, nil
 	err := v.rc.Read(v.fn)
-	for i := range segs {
-		v.iov[i] = syscall.Iovec{}
-	}
+	v.iov = [2]syscall.Iovec{}
 	if err != nil {
 		return 0, err
 	}
