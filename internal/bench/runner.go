@@ -72,12 +72,14 @@ type benchGroup struct {
 // group creates a group over the given members (members[0] is the root) on
 // every member's engine.
 func (d *deployment) group(members []int, cfg core.GroupConfig) *benchGroup {
-	// The paper experiments model RDMC's per-block pacing in lockstep: in
-	// the fluid fabric, where control latency is microseconds, overlapping
-	// windows only steal capacity from critical-path blocks (the overlap
-	// and ablation reports quantify this). Pin unset windows to 1 so the
-	// figures track the paper rather than the library default, which is
-	// tuned for real transports with per-block control round trips.
+	// The paper experiments model RDMC's per-block pacing in lockstep. In
+	// the fluid fabric, where control latency is microseconds, a queue pair
+	// transmits one block at a time, but a node's sends to different peers
+	// share its port, so overlapping windows still steal capacity from
+	// critical-path blocks (the overlap and ablation reports quantify
+	// this). Pin unset windows to 1 so the figures track the paper rather
+	// than the library default, which is tuned for real transports with
+	// per-block control round trips.
 	if cfg.SendWindow == 0 {
 		cfg.SendWindow = 1
 	}

@@ -277,13 +277,31 @@ func (r *Registry) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Snapshot())
 }
 
+// published maps each expvar name Publish has claimed to the registry that
+// name currently reads. expvar refuses a second variable under one name, so
+// each name gets one expvar.Func, and a later Publish re-points it.
+var (
+	publishMu sync.Mutex
+	published = make(map[string]*atomic.Pointer[Registry])
+)
+
 // Publish exposes the registry under name through the expvar interface, so a
 // tcpnic deployment that serves http (expvar's /debug/vars) exports its
-// metrics with no further wiring. Publishing the same name twice panics
-// (expvar semantics); call once per process. No-op on a nil registry.
+// metrics with no further wiring. Publishing a name again re-points it at
+// this registry: the last publisher wins. The name must not be taken by an
+// expvar variable published some other way (expvar panics). No-op on a nil
+// registry.
 func (r *Registry) Publish(name string) {
 	if r == nil {
 		return
 	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
+	publishMu.Lock()
+	defer publishMu.Unlock()
+	p, ok := published[name]
+	if !ok {
+		p = new(atomic.Pointer[Registry])
+		published[name] = p
+		expvar.Publish(name, expvar.Func(func() any { return p.Load().Snapshot() }))
+	}
+	p.Store(r)
 }

@@ -1,8 +1,10 @@
 // Package simnic implements the rdma.Provider interface over the simnet
 // fluid-flow fabric. It is the stand-in for the Mellanox RDMA NICs used in
-// the RDMC paper: queue pairs are FIFO, completions fire at the virtual time
-// the last byte arrives, software costs go through the simnet CPU model, and
-// link or node failures surface as StatusBroken completions.
+// the RDMC paper: queue pairs are FIFO and transmit their work requests one
+// at a time, in post order, as an RC queue pair does; completions fire at
+// the virtual time the last byte arrives, software costs go through the
+// simnet CPU model, and link or node failures surface as StatusBroken
+// completions.
 //
 // The queue-pair table, region registry, watchers, and serial completion
 // dispatch live in the shared runtime (package nicbase); this package
@@ -21,11 +23,6 @@ import (
 	"rdmc/internal/rdma/nicbase"
 	"rdmc/internal/simnet"
 )
-
-// defaultQPWindow is how many work requests one simulated queue pair keeps
-// in flight concurrently — the NIC's send pipelining depth. Deep enough to
-// cover the engine's send window sweep (W ≤ 8) without queueing in the QP.
-const defaultQPWindow = 8
 
 // Network creates providers that share one simulated cluster and pairs their
 // queue-pair endpoints by (node, node, token) rendezvous.
@@ -158,11 +155,12 @@ type arrival struct {
 	offset int
 }
 
-// sendEntry is one launched work request awaiting in-order delivery: its
-// flow may finish out of order (a short final block racing full-size
-// predecessors through the fair-shared fabric), so completion and arrival
-// are held until every earlier entry has landed — the FIFO delivery an RC
-// queue pair guarantees no matter how deeply the NIC pipelines.
+// sendEntry is one launched work request awaiting in-order delivery. The
+// queue pair's lane puts its frames on the wire in post order, but a frame
+// can still land out of order — a reordering fabric delays it after its
+// flow, and a broken frame surfaces only after the retry timeout — so
+// completion and arrival are held until every earlier entry has landed: the
+// FIFO delivery an RC queue pair guarantees.
 type sendEntry struct {
 	wr   sendWR
 	done bool
@@ -180,13 +178,15 @@ type sendEntry struct {
 	next        *sendEntry // spare list link
 }
 
-// queuePair is one simulated RC endpoint. Up to defaultQPWindow work
-// requests execute concurrently as overlapping fabric flows (the NIC keeping
-// its pipe full), while completions and arrivals are delivered strictly in
-// post order; receives match arrivals in order. Its queues are rings of
-// values reused across work requests, and launched entries are recycled
-// with their callbacks bound, so a work request allocates nothing once the
-// queues have grown to their peak depth.
+// queuePair is one simulated RC endpoint. Every posted work request is
+// launched at once: its post cost and latency hop overlap those of the work
+// requests ahead of it, while its lane puts it on the wire only after the
+// previous one has crossed, as an RC queue pair transmits its send queue.
+// Completions and arrivals are delivered strictly in post order; receives
+// match arrivals in order. Its queues are rings of values reused across work
+// requests, and launched entries are recycled with their callbacks bound, so
+// a work request allocates nothing once the queues have grown to their peak
+// depth.
 type queuePair struct {
 	local    *Provider
 	peer     rdma.NodeID
@@ -194,6 +194,7 @@ type queuePair struct {
 	tolerant bool
 	broken   bool
 	remote   *queuePair
+	lane     simnet.Lane
 	pending  fifo[sendWR]     // posted, not yet launched
 	flight   fifo[*sendEntry] // launched, in post order (reorder buffer)
 	spare    *sendEntry       // drained entries awaiting reuse
@@ -270,15 +271,14 @@ func (q *queuePair) postCheck() error {
 	return q.local.CheckPost()
 }
 
-// maybeStart launches queued sends until the window is full, the queue is
-// empty, or the endpoints are not yet paired. Each launch pays the software
-// post cost through the CPU model (offload bypasses it) and then becomes a
-// concurrent fabric flow.
+// maybeStart launches every queued send once the endpoints are paired. Each
+// launch pays the software post cost through the CPU model (offload bypasses
+// it) and then goes to the queue pair's lane.
 func (q *queuePair) maybeStart() {
 	if q.broken || q.remote == nil {
 		return
 	}
-	for q.flight.len() < defaultQPWindow && q.pending.len() > 0 {
+	for q.pending.len() > 0 {
 		e := q.entry()
 		e.wr = q.pending.pop()
 		q.flight.push(e)
@@ -319,10 +319,10 @@ func (q *queuePair) transmit(e *sendEntry) {
 		// the pair, and arrivals land at actual arrival time so a reordering
 		// fabric is observable. Local send completions still drain in post
 		// order — the NIC reports its own work FIFO either way.
-		q.local.net.cluster.TransferFrame(src, dst, float64(e.wr.buf.Len), e.frameLanded)
+		q.local.net.cluster.TransferFrameOn(&q.lane, src, dst, float64(e.wr.buf.Len), e.frameLanded)
 		return
 	}
-	q.local.net.cluster.Transfer(src, dst, float64(e.wr.buf.Len), e.landed)
+	q.local.net.cluster.TransferOn(&q.lane, src, dst, float64(e.wr.buf.Len), e.landed)
 }
 
 func (q *queuePair) onFrameLanded(e *sendEntry, o simnet.Outcome) {
@@ -371,7 +371,7 @@ func arrivalOf(wr *sendWR) arrival {
 }
 
 // drainFlight delivers finished flows in post order: completion to the local
-// node, arrival to the remote, head of the window first. A flow that landed
+// node, arrival to the remote, oldest entry first. A flow that landed
 // ahead of an unfinished predecessor waits in the reorder buffer. Delivering
 // into a peer endpoint that was closed unilaterally breaks this end instead —
 // the RC behavior when retries against a torn-down QP exhaust — so a sender
@@ -405,7 +405,6 @@ func (q *queuePair) drainFlight() {
 		}
 		q.remote.onArrival(arrivalOf(&wr), wr.data)
 	}
-	q.maybeStart()
 }
 
 func (q *queuePair) onArrival(a arrival, writeData []byte) {
@@ -455,7 +454,7 @@ func (q *queuePair) breakBoth() {
 }
 
 // breakConn fails every outstanding work request on this endpoint, launched
-// window entries first (post order), then unlaunched sends.
+// entries first (post order), then unlaunched sends.
 func (q *queuePair) breakConn() {
 	if q.broken {
 		return

@@ -523,3 +523,113 @@ func TestSelfConnection(t *testing.T) {
 		t.Error("self-connection did not deliver")
 	}
 }
+
+// newLaneNet builds a network whose links carry 1 MiB per second, so a 1 MiB
+// send takes T = 1 s on the wire, with the given one-way latency and no CPU
+// cost. Each handler records the virtual time of every completion.
+func newLaneNet(t *testing.T, nodes int, latency float64) (*simnet.Sim, []*Provider, []*[]float64, []*[]rdma.Completion) {
+	t.Helper()
+	sim := simnet.NewSim(1)
+	cluster, err := simnet.NewCluster(sim, simnet.ClusterConfig{
+		Nodes:         nodes,
+		LinkBandwidth: 1 << 20,
+		Latency:       latency,
+		CPU:           simnet.CPUConfig{Mode: simnet.ModePolling},
+		RetryTimeout:  0.01,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := NewNetwork(cluster)
+	ps := make([]*Provider, nodes)
+	times := make([]*[]float64, nodes)
+	logs := make([]*[]rdma.Completion, nodes)
+	for i := range ps {
+		ps[i] = net.Provider(rdma.NodeID(i))
+		at, log := &[]float64{}, &[]rdma.Completion{}
+		times[i], logs[i] = at, log
+		ps[i].SetHandler(func(c rdma.Completion) {
+			*at = append(*at, sim.Now())
+			*log = append(*log, c)
+		})
+	}
+	return sim, ps, times, logs
+}
+
+// postSends posts one receive and then one 1 MiB send per work request id.
+func postSends(t *testing.T, qa, qb rdma.QueuePair, ids ...uint64) {
+	t.Helper()
+	for _, id := range ids {
+		if err := qb.PostRecv(rdma.SizeBuffer(1<<20), id); err != nil {
+			t.Fatal(err)
+		}
+		if err := qa.PostSend(rdma.SizeBuffer(1<<20), 0, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestQueuePairTransmitsSerially(t *testing.T) {
+	const lat = 0.001
+	sim, ps, times, _ := newLaneNet(t, 2, lat)
+	qa, qb := connect(t, ps[0], ps[1], 1)
+	postSends(t, qa, qb, 1, 2)
+	sim.Run()
+	got := *times[1]
+	if len(got) != 2 || got[0] != lat+1 || got[1] != lat+2 {
+		t.Errorf("arrivals at %v, want [%v %v]", got, lat+1, lat+2)
+	}
+}
+
+func TestQueuePairsShareAPort(t *testing.T) {
+	const lat = 0.001
+	sim, ps, times, _ := newLaneNet(t, 2, lat)
+	qa1, qb1 := connect(t, ps[0], ps[1], 1)
+	qa2, qb2 := connect(t, ps[0], ps[1], 2)
+	postSends(t, qa1, qb1, 1)
+	postSends(t, qa2, qb2, 2)
+	sim.Run()
+	got := *times[1]
+	if len(got) != 2 || got[0] != lat+2 || got[1] != lat+2 {
+		t.Errorf("arrivals at %v, want both at %v", got, lat+2)
+	}
+}
+
+// TestQueuePairPipelinesLatency posts eight sends at once over a path whose
+// one-way latency is five wire times: the latency hops overlap, so send i
+// lands at L + (i+1)T, and all land by L + 8T.
+func TestQueuePairPipelinesLatency(t *testing.T) {
+	const lat = 5.0
+	sim, ps, times, _ := newLaneNet(t, 2, lat)
+	qa, qb := connect(t, ps[0], ps[1], 1)
+	postSends(t, qa, qb, 0, 1, 2, 3, 4, 5, 6, 7)
+	sim.Run()
+	got := *times[1]
+	if len(got) != 8 {
+		t.Fatalf("%d of 8 sends landed", len(got))
+	}
+	for i, at := range got {
+		if want := lat + float64(i+1); at != want {
+			t.Errorf("send %d landed at %v, want %v", i, at, want)
+		}
+	}
+}
+
+// TestQueuePairBreakBehindFlow breaks the link under the first of three
+// queued sends: all three complete StatusBroken, in post order.
+func TestQueuePairBreakBehindFlow(t *testing.T) {
+	sim, ps, _, logs := newLaneNet(t, 2, 0.001)
+	qa, qb := connect(t, ps[0], ps[1], 1)
+	postSends(t, qa, qb, 1, 2, 3)
+	sim.At(0.5, func() { ps[0].net.Cluster().BreakLink(0, 1) })
+	sim.Run()
+	sends := *logs[0]
+	if len(sends) != 3 {
+		t.Fatalf("sender completions = %+v, want 3", sends)
+	}
+	for i, c := range sends {
+		if c.Status != rdma.StatusBroken || c.WRID != uint64(i+1) {
+			t.Errorf("completion %d = %+v, want WR %d broken", i, c, i+1)
+		}
+	}
+}

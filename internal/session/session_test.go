@@ -2,6 +2,7 @@ package session_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"rdmc/internal/rdma"
@@ -20,6 +21,7 @@ const (
 type node struct {
 	mgr     *session.Manager
 	seqs    []uint64
+	at      []float64       // virtual time of each delivery
 	payload map[uint64]byte // first byte of each delivered message
 	epochs  []uint64
 	states  []session.State
@@ -62,6 +64,7 @@ func newSessions(t *testing.T, g *simhost.Grid) []*node {
 		cbs := session.Callbacks{
 			Deliver: func(seq uint64, data []byte, size int) {
 				nd.seqs = append(nd.seqs, seq)
+				nd.at = append(nd.at, g.Sim().Now())
 				nd.payload[seq] = data[0]
 			},
 			OnEpoch: func(epoch uint64, mem []rdma.NodeID) {
@@ -156,21 +159,49 @@ func TestSessionNonRootSendRejected(t *testing.T) {
 }
 
 func TestSessionRelayCrashRecoversAndResends(t *testing.T) {
-	g := testGrid(t, 4, 2)
-	nodes := newSessions(t, g)
 	const k = 8
-	for i := 0; i < k; i++ {
-		if err := nodes[0].mgr.Send(msg(byte(i))); err != nil {
-			t.Fatal(err)
+	survivors := []int{0, 1, 3}
+	sendAll := func(nodes []*node) {
+		for i := 0; i < k; i++ {
+			if err := nodes[0].mgr.Send(msg(byte(i))); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	// The crash instant lands in the window where one survivor has
-	// delivered a message the others have not yet — so the re-send both
-	// fills a real gap and exercises duplicate suppression.
-	g.Sim().At(1.2e-4, func() { g.FailNode(2) })
+	// A fault-free pass on an identical grid times the deliveries. The crash
+	// instant is taken midway between the first and second survivor's
+	// delivery of one message, where one survivor holds a message the others
+	// do not yet — so the re-send both fills a real gap and exercises
+	// duplicate suppression, whatever the fabric's timing.
+	ref := testGrid(t, 4, 2)
+	refNodes := newSessions(t, ref)
+	sendAll(refNodes)
+	ref.Run()
+	crashAt := -1.0
+	for s := 0; s < k && crashAt < 0; s++ {
+		var times []float64
+		for _, i := range survivors {
+			if len(refNodes[i].at) != k {
+				t.Fatalf("fault-free survivor %d delivered %d messages, want %d", i, len(refNodes[i].at), k)
+			}
+			times = append(times, refNodes[i].at[s])
+		}
+		slices.Sort(times)
+		if times[1] > times[0] {
+			crashAt = (times[0] + times[1]) / 2
+		}
+	}
+	if crashAt < 0 {
+		t.Fatal("fault-free run delivered every message to all survivors at once")
+	}
+	t.Logf("node 2 crashes at %.4g s", crashAt)
+
+	g := testGrid(t, 4, 2)
+	nodes := newSessions(t, g)
+	sendAll(nodes)
+	g.Sim().At(crashAt, func() { g.FailNode(2) })
 	g.Run()
 
-	survivors := []int{0, 1, 3}
 	for _, i := range survivors {
 		nd := nodes[i]
 		if len(nd.seqs) != k {

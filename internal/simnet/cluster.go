@@ -193,7 +193,8 @@ func (c *Cluster) NodeFailed(id NodeID) bool { return c.nodes[id].down }
 
 // breakMatching cancels the matching transfers on the fabric, in flow id
 // order so that a seed fixes the order their broken completions surface in,
-// and arms each one's retry timeout.
+// and arms each one's retry timeout. Each cancelled flow frees its lane, and
+// the frames waiting there break behind it.
 func (c *Cluster) breakMatching(match func(*Flow) bool) {
 	// Collect first: Cancel may compact the registry being walked.
 	var doomed []*Flow
@@ -206,6 +207,7 @@ func (c *Cluster) breakMatching(match func(*Flow) bool) {
 		c.fabric.Cancel(fl)
 		done := fl.onOutcome
 		c.sim.after(c.cfg.RetryTimeout, func() { done(OutcomeBroken) })
+		c.release(fl.lane)
 	}
 }
 
@@ -223,7 +225,12 @@ func (c *Cluster) pairBroken(src, dst NodeID) bool {
 // severed connection. Self-transfers complete after the control latency
 // without consuming fabric capacity.
 func (c *Cluster) Transfer(src, dst NodeID, size float64, onDone func(broken bool)) {
-	c.frame(src, dst, size, false, func(o Outcome) { onDone(o == OutcomeBroken) })
+	c.TransferOn(nil, src, dst, size, onDone)
+}
+
+// TransferOn is Transfer for a frame sent on a serial lane (see Lane).
+func (c *Cluster) TransferOn(l *Lane, src, dst NodeID, size float64, onDone func(broken bool)) {
+	c.frame(l, src, dst, size, false, func(o Outcome) { onDone(o == OutcomeBroken) })
 }
 
 // Ctrl delivers a small control message (latency only, no bandwidth cost).

@@ -104,10 +104,13 @@ type Flow struct {
 	visitGen uint64 // component-traversal mark (see Resource.visitGen)
 
 	// A cluster transfer's endpoints and outcome callback, which is what a
-	// link or node failure needs to break it, and the inline backing of its
-	// path (tx, slow-link override, two trunks, rx at most).
+	// link or node failure needs to break it, its serial lane (nil for none)
+	// and link in the lane's wait list, and the inline backing of its path
+	// (tx, slow-link override, two trunks, rx at most).
 	src, dst  NodeID
 	onOutcome func(Outcome)
+	lane      *Lane
+	laneNext  *Flow
 	pathBuf   [5]*Resource
 }
 

@@ -231,7 +231,12 @@ func (c *Cluster) reorderDelay(src, dst NodeID) float64 {
 // on; break-semantics callers use Transfer, which maps loss to breakage as
 // RC retry exhaustion would.
 func (c *Cluster) TransferFrame(src, dst NodeID, size float64, onDone func(Outcome)) {
-	c.frame(src, dst, size, true, onDone)
+	c.frame(nil, src, dst, size, true, onDone)
+}
+
+// TransferFrameOn is TransferFrame for a frame sent on a serial lane.
+func (c *Cluster) TransferFrameOn(l *Lane, src, dst NodeID, size float64, onDone func(Outcome)) {
+	c.frame(l, src, dst, size, true, onDone)
 }
 
 // frame is the shared implementation under Transfer (tolerant=false: a lossy
@@ -240,7 +245,7 @@ func (c *Cluster) TransferFrame(src, dst NodeID, size float64, onDone func(Outco
 // OutcomeLost without condemning the connection). All random draws happen at
 // call time, in a fixed order (loss, then reorder), from the profile's
 // dedicated source — the determinism contract.
-func (c *Cluster) frame(src, dst NodeID, size float64, tolerant bool, onDone func(Outcome)) {
+func (c *Cluster) frame(l *Lane, src, dst NodeID, size float64, tolerant bool, onDone func(Outcome)) {
 	switch c.frameFate(src, dst, c.pathLoss(src, dst)) {
 	case OutcomeBroken:
 		c.sim.after(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
@@ -255,37 +260,88 @@ func (c *Cluster) frame(src, dst NodeID, size float64, tolerant bool, onDone fun
 		// The frame crosses the fabric and is dropped downstream: charge
 		// propagation and bandwidth, then report the loss at the time the
 		// last byte would have landed.
-		c.launch(src, dst, size, 0, OutcomeLost, onDone)
+		c.launch(l, src, dst, size, 0, OutcomeLost, onDone)
 		return
 	}
-	c.launch(src, dst, size, c.reorderDelay(src, dst), OutcomeDelivered, onDone)
+	c.launch(l, src, dst, size, c.reorderDelay(src, dst), OutcomeDelivered, onDone)
+}
+
+// Lane is the transmit lane of one queue pair on one directed path: frames
+// sent on it enter the fabric one at a time, in send order, as an RC queue
+// pair transmits its send queue. A frame still takes its latency hop
+// alongside the frames ahead of it; only its fabric flow waits for the
+// previous frame's flow to finish. Frames of different lanes share ports
+// max-min fairly, as a NIC's queue-pair arbiter shares them. The zero value
+// is an idle lane.
+type Lane struct {
+	busy       bool  // a frame of the lane is on the fabric
+	head, tail *Flow // frames past their latency hop, waiting in send order
 }
 
 // launch charges the path latency, re-checks for breakage (the path may have
 // been severed while the frame was in the NIC pipeline), and runs the frame
-// as a fabric flow. onDone fires with result extra seconds after the flow
-// completes, or with OutcomeBroken (after the retry timeout) if the path is
-// severed before or during the flow.
-func (c *Cluster) launch(src, dst NodeID, size, extra float64, result Outcome, onDone func(Outcome)) {
+// as a fabric flow once its lane (if any) is free. onDone fires with result
+// extra seconds after the flow completes, or with OutcomeBroken (after the
+// retry timeout) if the path is severed before or during the flow.
+func (c *Cluster) launch(l *Lane, src, dst NodeID, size, extra float64, result Outcome, onDone func(Outcome)) {
 	if src == dst {
 		c.sim.after(c.pathLatency(src, dst)+extra, func() { onDone(result) })
 		return
 	}
 	// The route is fixed at launch, before the latency hop, as a NIC fixes
-	// it when the frame enters its pipeline.
-	fl := &Flow{src: src, dst: dst, onOutcome: onDone}
+	// it when the frame enters its pipeline. Until the flow starts,
+	// remaining holds the frame's whole size.
+	fl := &Flow{src: src, dst: dst, lane: l, remaining: size, onOutcome: onDone}
 	fl.path = c.route(fl.pathBuf[:0], src, dst)
-	c.sim.after(c.pathLatency(src, dst), func() {
-		if c.pairBroken(src, dst) {
-			c.sim.after(c.cfg.RetryTimeout, func() { onDone(OutcomeBroken) })
+	fl.onDone = func() {
+		c.release(l)
+		if extra > 0 {
+			c.sim.after(extra, func() { onDone(result) })
 			return
 		}
-		c.fabric.start(fl, size, func() {
-			if extra > 0 {
-				c.sim.after(extra, func() { onDone(result) })
-				return
+		onDone(result)
+	}
+	c.sim.after(c.pathLatency(src, dst), func() { c.enter(fl) })
+}
+
+// enter starts a frame that finished its latency hop as a fabric flow, or
+// queues it behind its lane's flow. A path severed by now breaks the frame
+// after the retry timeout without taking the lane.
+func (c *Cluster) enter(fl *Flow) {
+	if c.pairBroken(fl.src, fl.dst) {
+		done := fl.onOutcome
+		c.sim.after(c.cfg.RetryTimeout, func() { done(OutcomeBroken) })
+		return
+	}
+	if l := fl.lane; l != nil {
+		if l.busy {
+			if l.tail == nil {
+				l.head = fl
+			} else {
+				l.tail.laneNext = fl
 			}
-			onDone(result)
-		})
-	})
+			l.tail = fl
+			return
+		}
+		l.busy = true
+	}
+	c.fabric.start(fl, fl.remaining, fl.onDone)
+}
+
+// release frees a lane whose flow finished or was cancelled and starts the
+// next waiting frame. If the path broke, every waiting frame breaks in send
+// order, so none is left behind a lane that never frees.
+func (c *Cluster) release(l *Lane) {
+	if l == nil {
+		return
+	}
+	l.busy = false
+	for !l.busy && l.head != nil {
+		fl := l.head
+		l.head, fl.laneNext = fl.laneNext, nil
+		if l.head == nil {
+			l.tail = nil
+		}
+		c.enter(fl)
+	}
 }

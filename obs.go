@@ -35,8 +35,8 @@ func (ob *Observer) MetricsJSON() ([]byte, error) {
 
 // Publish registers the metrics registry as an expvar variable under name,
 // so a tcpnic deployment serving net/http's /debug/vars exposes a live
-// snapshot. Publishing the same name twice panics (expvar's contract), so
-// call it once per process.
+// snapshot. Publishing a name again re-points it at this observer's
+// registry: the last publisher wins.
 func (ob *Observer) Publish(name string) { ob.o.Registry().Publish(name) }
 
 // WriteChromeTrace dumps the event ring's current contents in Chrome trace

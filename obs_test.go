@@ -168,3 +168,41 @@ func TestObserverTCPClusterAndExpvar(t *testing.T) {
 		t.Error("expvar snapshot missing live counters")
 	}
 }
+
+// TestObserverPublishReusedName publishes one expvar name from two
+// observers: the second Publish must not panic, and the name must then read
+// the second observer's registry.
+func TestObserverPublishReusedName(t *testing.T) {
+	const name = "rdmc_test_publish_reused"
+	first, second := rdmc.NewObserver(0), rdmc.NewObserver(0)
+	cluster, err := rdmc.NewSimCluster(rdmc.SimConfig{Nodes: 2, Seed: 1, Observer: second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups []*rdmc.Group
+	for i := 0; i < 2; i++ {
+		g, err := cluster.Node(i).CreateGroup(6, []int{0, 1}, rdmc.GroupConfig{BlockSize: 64 << 10}, rdmc.Callbacks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		groups = append(groups, g)
+	}
+	if err := groups[0].SendSized(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	cluster.Run()
+
+	first.Publish(name)
+	second.Publish(name)
+	v := expvar.Get(name)
+	if v == nil {
+		t.Fatal("expvar variable not published")
+	}
+	var snap metricsSnapshot
+	if err := json.Unmarshal([]byte(v.String()), &snap); err != nil {
+		t.Fatalf("expvar snapshot is not valid JSON: %v", err)
+	}
+	if got, want := snap.Counters["core.delivered"], uint64(2); got != want {
+		t.Errorf("core.delivered through expvar = %d, want %d (the second observer's)", got, want)
+	}
+}

@@ -667,7 +667,7 @@ func ExampleNewSimCluster() {
 	gbps := float64(256<<20) * 8 / elapsed.Seconds() / 1e9
 	fmt.Printf("replicated 256 MB to 3 nodes at %.0f Gb/s aggregate\n", gbps)
 	// Output:
-	// replicated 256 MB to 3 nodes at 96 Gb/s aggregate
+	// replicated 256 MB to 3 nodes at 99 Gb/s aggregate
 }
 
 // TestTCPRegroupAfterFailure reproduces the paper's §3 recovery story over

@@ -408,13 +408,13 @@ func ExampleSessionConfig_uniform() {
 	fmt.Printf("barrier cost over the slowest receiver: %.3fms\n", (last-slowest).Seconds()*1e3)
 	// Output:
 	// node  local deliver  uniform deliver
-	// 0          37.593ms         37.596ms
-	// 1           5.422ms         37.596ms
-	// 2          10.812ms         37.597ms
-	// 3          16.201ms         37.598ms
-	// 4          21.590ms         37.598ms
-	// 5          26.979ms         37.599ms
-	// 6          32.369ms         37.600ms
-	// 7          37.593ms         37.593ms
+	// 0          37.591ms         37.593ms
+	// 1           5.627ms         37.594ms
+	// 2          10.996ms         37.595ms
+	// 3          16.365ms         37.595ms
+	// 4          21.733ms         37.596ms
+	// 5          27.102ms         37.597ms
+	// 6          32.471ms         37.597ms
+	// 7          37.591ms         37.591ms
 	// barrier cost over the slowest receiver: 0.006ms
 }
