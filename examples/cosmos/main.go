@@ -105,8 +105,10 @@ func replay(algo rdmc.Algorithm, stream *scenario.Stream) ([]time.Duration, int6
 		gi := gi
 		for _, m := range members {
 			g, err := cluster.Node(m).CreateGroup(gi+1, members, rdmc.GroupConfig{
-				BlockSize: 1 << 20,
-				Algorithm: algo,
+				BlockSize:  cfg.Replay.BlockBytes,
+				Algorithm:  algo,
+				SendWindow: cfg.Replay.SendWindow,
+				RecvWindow: cfg.Replay.RecvWindow,
 			}, rdmc.Callbacks{
 				Completion: func(seq int, _ []byte, _ int) {
 					r := pending[key(gi, seq)]

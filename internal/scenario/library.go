@@ -32,7 +32,8 @@ func Roster(n int) []int {
 // paper publishes about it: node 0 replicates objects to 3 random replicas
 // out of a 15-node pool (all 455 groups pre-created), 4 writes outstanding,
 // with log-normal sizes of median 12 MiB and mean 29 MiB clamped to
-// [256 B, 512 MiB] ("hundreds of bytes to hundreds of MB").
+// [256 B, 512 MiB] ("hundreds of bytes to hundreds of MB"). Its windows
+// are pinned to 1, as every paper figure's are.
 func Cosmos() Config {
 	return Config{
 		Name:    "cosmos",
@@ -46,6 +47,8 @@ func Cosmos() Config {
 			Cluster:     "fractus",
 			BlockBytes:  mib,
 			Algorithms:  []string{"sequential send", "binomial tree", "binomial pipeline"},
+			SendWindow:  1,
+			RecvWindow:  1,
 			QuickWrites: 300,
 		},
 	}
