@@ -3,9 +3,11 @@
 // the verbs abstraction of package rdma, asynchronously, with the paper's
 // gating rules:
 //
-//   - a transfer begins only after every receiver has signalled readiness to
-//     the root (§2: "it does a one-sided write to tell the sender, which
-//     starts sending only after all are prepared");
+//   - a multi-block transfer begins only after every receiver has signalled
+//     readiness to the root (§2: "it does a one-sided write to tell the
+//     sender, which starts sending only after all are prepared"); a
+//     one-block message instead lands on a receive each member keeps posted
+//     ahead, and announces itself (oneblock.go);
 //   - each individual block send waits for a ready-for-block notice from its
 //     target, so no block is ever sent prematurely and connections never
 //     break from slow receivers (§4.2);
@@ -68,7 +70,9 @@ const (
 	// for a sequence — the paper's pre-transfer one-sided write.
 	CtrlReceiverReady
 	// CtrlReadyBlock tells a specific sender that the target has posted
-	// the receive for one scheduled block transfer.
+	// the receive for one scheduled block transfer, or, with the reserved
+	// sequence oneBlockSeq, its standing receive for the next one-block
+	// message.
 	CtrlReadyBlock
 	// CtrlFailure relays a detected failure to all survivors.
 	CtrlFailure

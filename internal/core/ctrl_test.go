@@ -477,3 +477,154 @@ func FuzzEngineCtrl(f *testing.F) {
 		r.sim.Run()
 	})
 }
+
+// oneBlockRig is a 4-member binomial group (rank 1 relays one-block
+// messages to rank 3) whose one-block path is armed: a first one-block
+// message has gone through the prepare path, so every member holds a
+// standing receive and the root has every target's credit. Engine 3 and
+// engine 1 record their events in sinks[3] and sinks[1].
+func oneBlockRig(t *testing.T) (*ctrlRig, []*core.Group, []*receiverState, map[int]*obs.Obs, [][]byte) {
+	t.Helper()
+	r := newCtrlRig(t, 4)
+	sinks := map[int]*obs.Obs{1: obs.New(1 << 12), 3: obs.New(1 << 12)}
+	for i, s := range sinks {
+		r.engines[i].SetObserver(s)
+	}
+	groups, states := r.group(t, 4, core.GroupConfig{BlockSize: 1 << 10}, 1<<20)
+	warm := make([]byte, 700)
+	rand.New(rand.NewSource(17)).Read(warm)
+	if err := groups[0].Send(warm); err != nil {
+		t.Fatal(err)
+	}
+	r.sim.Run()
+	return r, groups, states, sinks, [][]byte{warm}
+}
+
+// sendAll sends each message from the root and returns msgs extended by
+// them.
+func sendAll(t *testing.T, root *core.Group, msgs [][]byte, sizes ...int) [][]byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(msgs))))
+	for _, size := range sizes {
+		msg := make([]byte, size)
+		rng.Read(msg)
+		if err := root.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, msg)
+	}
+	return msgs
+}
+
+// TestOneBlockPrepareWaitsForEarlierBlock sends one-block message 1 and
+// multi-block message 2 back to back. The root starts 2 as soon as its own
+// sends of 1 complete, so 2's prepare reaches leaf 3 over one mesh hop
+// while 1's block is still on its second data hop. The leaf must hold the
+// prepare until it has delivered 1.
+func TestOneBlockPrepareWaitsForEarlierBlock(t *testing.T) {
+	r, groups, states, sinks, msgs := oneBlockRig(t)
+	msgs = sendAll(t, groups[0], msgs, 900, 5<<10+3)
+	r.sim.Run()
+	checkDelivered(t, states, msgs)
+
+	prepareAt, blockAt := -1, -1
+	for i, e := range sinks[3].Ring().Snapshot() {
+		switch {
+		case e.Kind == obs.EvCtrlRecv && e.Seq == 2 && e.Arg == int64(core.CtrlPrepare):
+			prepareAt = i
+		case e.Kind == obs.EvRecvDone && e.Seq == 1:
+			blockAt = i
+		}
+	}
+	if prepareAt < 0 || blockAt < 0 || prepareAt > blockAt {
+		t.Fatalf("leaf saw prepare 2 at event %d and block 1 at event %d; the test needs the prepare first", prepareAt, blockAt)
+	}
+}
+
+// holdLeafCredit holds leaf 3's ready-for-block credits for multi-block
+// message seq, so the leaf and both ranks that feed it stay inside seq
+// while the root, whose sends to ranks 1 and 2 complete, moves on.
+func holdLeafCredit(r *ctrlRig, seq int) {
+	r.hold = func(from rdma.NodeID, m core.CtrlMsg) bool {
+		return from == 3 && m.Kind == core.CtrlReadyBlock && m.Seq == seq
+	}
+}
+
+// TestOneBlockWaitsBehindMultiBlock lands a one-block block on members that
+// are still inside a multi-block transfer. The arrival waits in the slot
+// beside the active transfer, and each member delivers it right after.
+func TestOneBlockWaitsBehindMultiBlock(t *testing.T) {
+	r, groups, states, sinks, msgs := oneBlockRig(t)
+	holdLeafCredit(r, 1)
+	msgs = sendAll(t, groups[0], msgs, 6<<10, 1<<10)
+	r.sim.Run()
+	for _, i := range []int{1, 3} {
+		landed := false
+		for _, e := range sinks[i].Ring().Snapshot() {
+			landed = landed || e.Kind == obs.EvRecvDone && e.Seq == 2
+		}
+		if got := len(states[i].delivered); got != 1 || !landed {
+			t.Fatalf("member %d delivered %d messages, one-block block landed %v; want 1 and true while message 1 is held", i, got, landed)
+		}
+	}
+	r.hold = nil
+	r.release()
+	r.sim.Run()
+	checkDelivered(t, states, msgs)
+}
+
+// TestOneBlockCreditBound holds leaf 3 and its feeders inside a multi-block
+// message while the root sends three one-block messages. A member grants a
+// new standing receive only when an arrival becomes its active transfer, so
+// relay 1 forwards the first one-block message to the leaf and nothing more
+// until the leaf has taken it up; the root's later messages wait on the
+// relays' credit.
+func TestOneBlockCreditBound(t *testing.T) {
+	r, groups, states, sinks, msgs := oneBlockRig(t)
+	holdLeafCredit(r, 1)
+	msgs = sendAll(t, groups[0], msgs, 6<<10, 1<<10, 10, 1000)
+	r.sim.Run()
+	forwards := 0
+	for _, e := range sinks[1].Ring().Snapshot() {
+		if e.Kind == obs.EvSendPosted && e.Seq >= 2 && e.Peer == 3 {
+			forwards++
+		}
+	}
+	if forwards != 1 {
+		t.Fatalf("relay 1 posted %d one-block sends to the held leaf, want 1", forwards)
+	}
+	for i, st := range states {
+		if len(st.failures) != 0 {
+			t.Fatalf("member %d failed while held: %v", i, st.failures)
+		}
+	}
+	r.hold = nil
+	r.release()
+	r.sim.Run()
+	checkDelivered(t, states, msgs)
+}
+
+// TestOneBlockKeepsPlanMemo alternates multi-block and one-block messages on
+// a 3-member group. The one-block plan has a memo of its own: after one
+// miss each, every multi-block message hits the plan memo and every
+// one-block message the one-block plan.
+func TestOneBlockKeepsPlanMemo(t *testing.T) {
+	r := newCtrlRig(t, 3)
+	sink := obs.New(1 << 14)
+	for _, e := range r.engines {
+		e.SetObserver(sink)
+	}
+	const bs = 1 << 10
+	groups, states := r.group(t, 3, core.GroupConfig{BlockSize: bs}, 1<<20)
+	hits := sink.Registry().Counter("core.plan_cache_hits")
+	misses := sink.Registry().Counter("core.plan_cache_misses")
+	var msgs [][]byte
+	for _, size := range []int{10 * bs, bs, 10 * bs, 500, 10 * bs, bs} {
+		msgs = sendAll(t, groups[0], msgs, size)
+		r.sim.Run()
+	}
+	checkDelivered(t, states, msgs)
+	if h, m := hits.Load(), misses.Load(); h != 3*4 || m != 3*2 {
+		t.Fatalf("plan memo hits/misses = %d/%d over 3 members, want %d/%d", h, m, 3*4, 3*2)
+	}
+}

@@ -93,6 +93,9 @@ func (g *Group) resume() {
 	if g.state == stateActive && g.current != nil {
 		cbs = g.current.pumpSendsLocked()
 	}
+	if cbs == nil {
+		cbs = g.oneBlockSlotLocked()
+	}
 	g.mu.Unlock()
 	runAll(cbs)
 }

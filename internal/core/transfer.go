@@ -29,10 +29,13 @@ type transfer struct {
 
 	buf     rdma.Buffer // message memory (Data nil for metadata-only)
 	staging []byte      // first-block landing buffer when carrying data
+	ob      bool        // announces itself on the one-block path (oneblock.go)
+	edges   uint64      // queue-pair kind: 0, or oneBlockQP for one-block edges
 
 	// Root-side start gate: the transfer begins only when every receiver
 	// has posted its buffers (§2's "starts sending only after all are
-	// prepared").
+	// prepared"). A one-block receiver sets started once its block has been
+	// copied into the application's memory.
 	readyReceivers map[int]bool
 	started        bool
 
@@ -53,7 +56,10 @@ type transfer struct {
 	stats *TransferStats
 }
 
-func newTransfer(g *Group, pm pendingMsg) *transfer {
+// newTransfer builds the state machine of one message. A one-block transfer
+// (ob) runs the one-block plan; a receiver creates it when the block has
+// already landed in staging.
+func newTransfer(g *Group, pm pendingMsg, ob bool) *transfer {
 	bs := pm.blockSize
 	if bs <= 0 {
 		bs = g.cfg.BlockSize
@@ -65,18 +71,38 @@ func newTransfer(g *Group, pm pendingMsg) *transfer {
 		size: pm.size,
 		bs:   bs,
 		mask: pm.mask,
-		np:   g.nodePlan(k, pm.mask),
 		buf:  pm.buf,
 		have: make([]bool, k),
+		ob:   ob,
+	}
+	if k == 1 && pm.mask == 0 && pm.size <= int64(g.oneBlockCap()) {
+		// The one-block plan has a memo of its own, so a one-block
+		// message never evicts the multi-block plan. The group's first
+		// one-block message takes the prepare path on the one-block edges
+		// and arms them; a later prepared one stays on the main edges.
+		first := g.obPlan == nil
+		t.np, _ = g.oneBlockPlanLocked()
+		g.planObs(!first, k)
+		if ob || first {
+			t.edges = oneBlockQP
+		}
+	} else {
+		t.np = g.nodePlan(k, pm.mask)
 	}
 	t.sendDone = make([]bool, len(t.np.Sends))
 	t.sentTo = make([]int, len(g.members))
-	if g.rank == 0 {
-		t.started = len(g.members) == 1
-		t.readyReceivers = make(map[int]bool, len(g.members)-1)
+	switch {
+	case g.rank == 0:
+		t.started = ob || len(g.members) == 1
+		if !ob {
+			t.readyReceivers = make(map[int]bool, len(g.members)-1)
+		}
 		for b := range t.have {
 			t.have[b] = true
 		}
+	case ob:
+		t.have[0] = true
+		t.recvPosted, t.recvDone = 1, 1
 	}
 	if g.cfg.RecordStats {
 		t.stats = &TransferStats{
@@ -110,10 +136,7 @@ type planMemo struct {
 // shipped in the prepare message, so every member plans the same shape.
 func (g *Group) nodePlan(k int, mask uint64) schedule.NodePlan {
 	if m := &g.lastPlan; m.k == k && m.mask == mask {
-		if eo := g.engine.eobs; eo != nil {
-			eo.planHit.Inc()
-			eo.record(g.engine.host.Now(), obs.EvPlanCacheHit, g.id, -1, -1, -1, int64(k))
-		}
+		g.planObs(true, k)
 		return m.np
 	}
 	var np schedule.NodePlan
@@ -123,11 +146,20 @@ func (g *Group) nodePlan(k int, mask uint64) schedule.NodePlan {
 		np = g.cfg.Generator.NodePlan(len(g.members), k, g.rank)
 	}
 	g.lastPlan = planMemo{k: k, mask: mask, np: np}
-	if eo := g.engine.eobs; eo != nil {
-		eo.planMiss.Inc()
-		eo.record(g.engine.host.Now(), obs.EvPlanCacheMiss, g.id, -1, -1, -1, int64(k))
-	}
+	g.planObs(false, k)
 	return np
+}
+
+// planObs counts one plan lookup as a memo hit or miss.
+func (g *Group) planObs(hit bool, k int) {
+	if eo := g.engine.eobs; eo != nil {
+		c, kind := eo.planMiss, obs.EvPlanCacheMiss
+		if hit {
+			c, kind = eo.planHit, obs.EvPlanCacheHit
+		}
+		c.Inc()
+		eo.record(g.engine.host.Now(), kind, g.id, -1, -1, -1, int64(k))
+	}
 }
 
 // blockLen returns the byte length of block b (the last block may be short).
@@ -154,11 +186,17 @@ func wrID(seq, idx int) uint64 { return uint64(uint32(seq))<<32 | uint64(uint32(
 // startLocked begins the transfer: the root announces it to every member;
 // members allocate memory (through the Incoming callback, outside the lock),
 // post every scheduled receive, signal per-block readiness to their sources,
-// and report themselves ready to the root.
+// and report themselves ready to the root. A one-block transfer skips the
+// announcement: the root sends at once, and the receiver's block is already
+// in staging.
 func (t *transfer) startLocked() []func() {
 	if t.g.rank == 0 {
 		if t.stats != nil && t.started {
 			t.stats.SetupDoneAt = t.g.engine.host.Now()
+		}
+		if t.ob {
+			t.g.obsEvent(obs.EvSetupDone, t.seq, -1, -1, t.size)
+			return t.pumpSendsLocked()
 		}
 		for rank := 1; rank < len(t.g.members); rank++ {
 			t.g.ctrlTo(rank, CtrlMsg{Kind: CtrlPrepare, Group: t.g.id, Seq: t.seq, Size: t.size, Mask: t.mask, BS: t.bs})
@@ -186,6 +224,9 @@ func (t *transfer) startLocked() []func() {
 }
 
 func (t *transfer) finishMemberSetupLocked(data []byte) []func() {
+	if t.ob {
+		return t.finishOneBlockLocked(data)
+	}
 	g := t.g
 	if g.state != stateActive || g.current != t {
 		return nil
@@ -231,7 +272,7 @@ func (t *transfer) postRecvWindowLocked() []func() {
 	for t.recvPosted < len(t.np.Recvs) && t.recvPosted-t.recvDone < g.cfg.RecvWindow {
 		idx := t.recvPosted
 		tr := t.np.Recvs[idx]
-		qp, err := g.qpTo(tr.From)
+		qp, err := g.qpTo(tr.From, t.edges)
 		if err != nil {
 			return g.failLocked(g.members[tr.From], true)
 		}
@@ -319,7 +360,7 @@ func (t *transfer) pumpSendsLocked() []func() {
 		if !t.have[tr.Block] {
 			return nil
 		}
-		if t.sentTo[tr.To] >= g.readyCounts[readyKey{seq: t.seq, to: tr.To}] {
+		if t.ob && (g.obCredit == nil || g.obCredit[tr.To] <= 0) || !t.ob && t.sentTo[tr.To] >= g.readyCounts[readyKey{seq: t.seq, to: tr.To}] {
 			g.stallCredit++
 			return nil
 		}
@@ -331,18 +372,33 @@ func (t *transfer) pumpSendsLocked() []func() {
 		if !g.acquireThrottleLocked(t.blockLen(tr.Block)) {
 			return nil
 		}
-		qp, err := g.qpTo(tr.To)
+		// A one-block send announces itself: its immediate is the sequence,
+		// and a relay forwards straight from staging.
+		buf, imm := t.blockBuf(tr.Block), uint32(t.size)
+		if t.ob {
+			imm = uint32(t.seq)
+			if t.staging != nil {
+				buf = rdma.MakeBuffer(t.staging[:t.size])
+			}
+		}
+		qp, err := g.qpTo(tr.To, t.edges)
+		if err == nil {
+			if t.stats != nil {
+				t.stats.Sends = append(t.stats.Sends, BlockStamp{Block: tr.Block, PostedAt: g.engine.host.Now()})
+			}
+			err = qp.PostSend(buf, imm, wrID(t.seq, t.sendIdx))
+		}
 		if err != nil {
+			if g.sending {
+				// Send must not run the Failure callback on its caller's
+				// stack. The transport reports the broken queue pair on its
+				// dispatcher, and that fails the group.
+				return nil
+			}
 			return g.failLocked(g.members[tr.To], true)
 		}
-		if t.stats != nil {
-			t.stats.Sends = append(t.stats.Sends, BlockStamp{
-				Block:    tr.Block,
-				PostedAt: g.engine.host.Now(),
-			})
-		}
-		if err := qp.PostSend(t.blockBuf(tr.Block), uint32(t.size), wrID(t.seq, t.sendIdx)); err != nil {
-			return g.failLocked(g.members[tr.To], true)
+		if t.ob {
+			g.obCredit[tr.To]--
 		}
 		if eo := g.engine.eobs; eo != nil {
 			eo.blocksSent.Inc()
@@ -434,30 +490,35 @@ func (t *transfer) recvDoneLocked(idx int, c rdma.Completion) []func() {
 			t.g.engine.staging.Put(t.staging)
 			t.staging = nil
 		}
-		e, g := t.g.engine, t.g
-		before := e.host.Now()
-		stats := t.stats
-		// A real-time host runs the charge callback inline — while this
-		// method still holds g.mu — whereas the simulated host schedules
-		// it on the event loop after the modelled memcpy. The flag tells
-		// the callback which world it is in so it never re-locks a mutex
-		// the caller already holds.
-		inline := true
-		e.host.ChargeCopy(n, func() {
-			if stats == nil {
-				return
-			}
-			if inline {
-				stats.CopyTime += e.host.Now() - before
-				return
-			}
-			g.mu.Lock()
-			stats.CopyTime += e.host.Now() - before
-			g.mu.Unlock()
-		})
-		inline = false
+		t.chargeCopyLocked(n)
 	}
 	return t.blockArrivedLocked(tr.Block)
+}
+
+// chargeCopyLocked accounts the first block's copy out of staging.
+func (t *transfer) chargeCopyLocked(n int) {
+	e, g := t.g.engine, t.g
+	before := e.host.Now()
+	stats := t.stats
+	// A real-time host runs the charge callback inline — while this
+	// method still holds g.mu — whereas the simulated host schedules
+	// it on the event loop after the modelled memcpy. The flag tells
+	// the callback which world it is in so it never re-locks a mutex
+	// the caller already holds.
+	inline := true
+	e.host.ChargeCopy(n, func() {
+		if stats == nil {
+			return
+		}
+		if inline {
+			stats.CopyTime += e.host.Now() - before
+			return
+		}
+		g.mu.Lock()
+		stats.CopyTime += e.host.Now() - before
+		g.mu.Unlock()
+	})
+	inline = false
 }
 
 func (t *transfer) blockArrivedLocked(block int) []func() {
@@ -480,7 +541,7 @@ func (t *transfer) blockArrivedLocked(block int) []func() {
 // which "the associated memory region can be reused", which "might happen
 // before other receivers have finished getting the message" (§4.1).
 func (t *transfer) maybeDeliverLocked() []func() {
-	if t.recvDone < len(t.np.Recvs) || t.sendsDone < len(t.np.Sends) {
+	if t.recvDone < len(t.np.Recvs) || t.sendsDone < len(t.np.Sends) || t.ob && !t.started {
 		return nil
 	}
 	return t.deliverLocked()
@@ -490,6 +551,10 @@ func (t *transfer) deliverLocked() []func() {
 	g := t.g
 	g.delivered++
 	g.current = nil
+	if t.staging != nil {
+		g.engine.staging.Put(t.staging)
+		t.staging = nil
+	}
 	for key := range g.readyCounts {
 		if key.seq == t.seq {
 			delete(g.readyCounts, key)
@@ -509,6 +574,9 @@ func (t *transfer) deliverLocked() []func() {
 	if fn := g.cfg.Callbacks.Completion; fn != nil {
 		seq, data, size := t.seq, t.buf.Data, int(t.size)
 		cbs = append(cbs, func() { fn(seq, data, size) })
+	}
+	if !t.ob && t.edges == oneBlockQP {
+		cbs = append(cbs, g.armOneBlockLocked()...) // the first one-block message arms the path
 	}
 	cbs = append(cbs, g.maybeAckCloseLocked()...)
 	cbs = append(cbs, g.maybeStartNextLocked()...)

@@ -203,10 +203,12 @@ func (q *CompletionQueue) PostBatch(cs []rdma.Completion) {
 // dispatch drains the ring serially; on Close it delivers whatever is still
 // queued and exits. Every wakeup slurps the whole ring in one pass into a
 // reused backing slice — so steady-state dispatch allocates nothing — and
-// hands it to the consumer in slices of up to maxBatch.
+// hands it to the consumer in slices of up to maxBatch. The slice grows to
+// the longest drain seen, not the ring's capacity, so a quiet provider keeps
+// its dispatcher small.
 func (q *CompletionQueue) dispatch() {
 	defer q.wg.Done()
-	buf := make([]rdma.Completion, 0, q.ring.Capacity())
+	var buf []rdma.Completion
 	for {
 		var ok bool
 		buf, ok = q.ring.Drain(buf[:0])

@@ -260,15 +260,16 @@ const maxCoalesceBytes = 256 << 10
 // (bounded in bytes, up to the full ring in frames) into a single vectored
 // write: headers and payloads interleave in one writev, so a full send
 // window of blocks costs one syscall instead of one per block. The run's
-// completions retire through one batched CQ operation. Header and vector
-// storage is reused across batches, so steady-state writing allocates
-// nothing.
+// completions retire through one batched CQ operation. Header, vector and
+// completion storage grows to the longest run written and is reused across
+// batches, so steady-state writing allocates nothing, and a queue pair that
+// sends little or nothing keeps next to no writer memory.
 func (q *queuePair) writer(conn net.Conn) {
 	defer q.clearSends()
 	var (
-		hdrs  = make([][headerLen]byte, sendRingCap)
-		vec   = &writerVec{base: make(net.Buffers, 0, 2*sendRingCap)}
-		comps = make([]rdma.Completion, 0, sendRingCap)
+		hdrs  [][headerLen]byte
+		vec   = &writerVec{}
+		comps []rdma.Completion
 	)
 	for {
 		q.mu.Lock()
@@ -292,6 +293,9 @@ func (q *queuePair) writer(conn net.Conn) {
 		}
 		q.mu.Unlock()
 
+		if n > len(hdrs) {
+			hdrs = make([][headerLen]byte, min(max(n, 2*len(hdrs)), sendRingCap))
+		}
 		q.p.obsCoalesce.Observe(int64(n))
 		zc, err := q.writeFrames(conn, head, n, hdrs, vec)
 		if err != nil {
@@ -388,6 +392,7 @@ func (q *queuePair) writeFrames(conn net.Conn, head uint64, n int, hdrs [][heade
 			zc++
 		}
 	}
+	vec.base = bufs
 	vec.view = bufs
 	_, err := vec.view.WriteTo(conn)
 	vec.view = nil

@@ -481,14 +481,19 @@ func TestTCPMultipleMessagesAndCloseBarrier(t *testing.T) {
 
 // TestRecreateGroupAfterDestroy destroys a group and creates it again under
 // the same id on the same nodes: the second incarnation must connect fresh
-// queue pairs, not the first one's closed ones, on both data planes.
+// queue pairs, not the first one's closed ones, on both data planes. The
+// one-block variants send three one-block messages per incarnation, so the
+// later two ride the one-block queue pairs.
 func TestRecreateGroupAfterDestroy(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []rdmc.ClusterOption
+		name        string
+		opts        []rdmc.ClusterOption
+		size, count int
 	}{
-		{"tcp", nil},
-		{"intrahost", []rdmc.ClusterOption{rdmc.WithIntraHost()}},
+		{"tcp", nil, 1 << 20, 1},
+		{"intrahost", []rdmc.ClusterOption{rdmc.WithIntraHost()}, 1 << 20, 1},
+		{"tcp-one-block", nil, 4 << 10, 3},
+		{"intrahost-one-block", []rdmc.ClusterOption{rdmc.WithIntraHost()}, 4 << 10, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes, err := rdmc.NewLocalCluster(3, tc.opts...)
@@ -501,28 +506,32 @@ func TestRecreateGroupAfterDestroy(t *testing.T) {
 				}
 			}()
 			for round := 0; round < 2; round++ {
-				recreateRound(t, nodes, round)
+				recreateRound(t, nodes, round, tc.size, tc.count)
 			}
 		})
 	}
 }
 
-// recreateRound creates group 7 on every node, multicasts one message,
-// checks every copy and runs the root's close barrier. Members tear down
-// only when the root's destroyed notice reaches them, so their create is
-// retried until the previous incarnation is gone.
-func recreateRound(t *testing.T, nodes []*rdmc.Node, round int) {
+// recreateRound creates group 7 on every node, multicasts count messages of
+// size bytes, checks every copy and runs the root's close barrier. Members
+// tear down only when the root's destroyed notice reaches them, so their
+// create is retried until the previous incarnation is gone.
+func recreateRound(t *testing.T, nodes []*rdmc.Node, round, size, count int) {
 	t.Helper()
 	members := []int{0, 1, 2}
-	msg := make([]byte, 1<<20)
-	rand.New(rand.NewSource(int64(round))).Read(msg)
+	rng := rand.New(rand.NewSource(int64(round)))
+	msgs := make([][]byte, count)
+	for k := range msgs {
+		msgs[k] = make([]byte, size)
+		rng.Read(msgs[k])
+	}
 	var (
 		mu       sync.Mutex
-		received = make(map[int][]byte)
+		received = make(map[int][][]byte)
 		failed   = make(chan error, len(nodes))
 		wg       sync.WaitGroup
 	)
-	wg.Add(len(nodes))
+	wg.Add(len(nodes) * count)
 	var groups []*rdmc.Group
 	for i, n := range nodes {
 		i := i
@@ -530,7 +539,7 @@ func recreateRound(t *testing.T, nodes []*rdmc.Node, round int) {
 			Incoming: func(size int) []byte { return make([]byte, size) },
 			Completion: func(seq int, data []byte, size int) {
 				mu.Lock()
-				received[i] = append([]byte(nil), data...)
+				received[i] = append(received[i], append([]byte(nil), data...))
 				mu.Unlock()
 				wg.Done()
 			},
@@ -550,8 +559,10 @@ func recreateRound(t *testing.T, nodes []*rdmc.Node, round int) {
 			break
 		}
 	}
-	if err := groups[0].Send(msg); err != nil {
-		t.Fatal(err)
+	for _, msg := range msgs {
+		if err := groups[0].Send(msg); err != nil {
+			t.Fatal(err)
+		}
 	}
 	done := make(chan struct{})
 	go func() {
@@ -567,8 +578,10 @@ func recreateRound(t *testing.T, nodes []*rdmc.Node, round int) {
 	}
 	mu.Lock()
 	for i := range nodes {
-		if !bytes.Equal(received[i], msg) {
-			t.Errorf("round %d: node %d received corrupt bytes", round, i)
+		for k, msg := range msgs {
+			if !bytes.Equal(received[i][k], msg) {
+				t.Errorf("round %d: node %d received corrupt bytes in message %d", round, i, k)
+			}
 		}
 	}
 	mu.Unlock()
