@@ -54,6 +54,7 @@ func Run(t *testing.T, f Factory) {
 		{"EarlyArrivalBuffersUntilRecvPosted", testEarlyArrival},
 		{"DistinctTokensAreSeparateQueuePairs", testDistinctTokens},
 		{"OneSidedWriteUpdatesRegionAndWatcher", testOneSidedWrite},
+		{"WatcherRunsOffPostersStack", testWatcherOffPostersStack},
 		{"WatchUnknownRegionFails", testWatchUnknownRegion},
 		{"PostWithoutHandlerFails", testPostWithoutHandler},
 		{"PostedRecvTooSmallBreaksQueuePair", testPostedRecvTooSmall},
@@ -62,6 +63,7 @@ func Run(t *testing.T, f Factory) {
 		{"QueuePairCloseFailsOutstandingWork", testQPCloseFailsOutstanding},
 		{"BrokenMidWindowedTransferPropagates", testBrokenMidWindow},
 		{"ProviderCloseRefusesNewWork", testProviderClose},
+		{"ProviderCloseStopsWatchers", testProviderCloseStopsWatchers},
 		{"ReliabRetransmitDeliversExactlyOnce", testReliabExactlyOnce},
 		{"ReliabFIFOPreservedAcrossRetransmit", testReliabFIFO},
 		{"ReliabBreakStillSurfaces", testReliabBreak},
@@ -454,6 +456,96 @@ func testOneSidedWrite(t *testing.T, h *Harness) {
 	// One-sided: the target must not see a completion.
 	if got := sb.snapshot(); len(got) != 0 {
 		t.Errorf("target saw completions for one-sided write: %+v", got)
+	}
+}
+
+// testWatcherOffPostersStack: a region watcher never runs on the poster's
+// stack, so a poster may hold a lock across PostWrite that the peer's
+// watcher takes (a session's state lock, say, when both ends share one
+// process).
+func testWatcherOffPostersStack(t *testing.T, h *Harness) {
+	attach(h)
+	if err := h.B.RegisterRegion(4, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	fired := make(chan struct{}, 1)
+	if err := h.B.WatchRegion(4, func(int, int) {
+		mu.Lock()
+		mu.Unlock()
+		fired <- struct{}{}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	qa, _ := connect(t, h, 1)
+	h.Settle() // let the queue pair come up
+	posted := make(chan error, 1)
+	go func() {
+		mu.Lock()
+		defer mu.Unlock()
+		posted <- qa.PostWrite(4, 0, []byte("locked"), 1)
+	}()
+	select {
+	case err := <-posted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("PostWrite still blocked after 5 s: the watcher ran on the poster's stack")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		h.Settle()
+		select {
+		case <-fired:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("watcher never fired")
+		}
+	}
+}
+
+// testProviderCloseStopsWatchers: once B's Close returns, no write from A
+// fires B's watcher, whether it was in flight at the Close or posted after.
+func testProviderCloseStopsWatchers(t *testing.T, h *Harness) {
+	sa, _ := attach(h)
+	if err := h.B.RegisterRegion(5, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	fired := 0
+	if err := h.B.WatchRegion(5, func(int, int) {
+		mu.Lock()
+		fired++
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	qa, _ := connect(t, h, 1)
+	if err := qa.PostWrite(5, 0, []byte("up"), 0); err != nil {
+		t.Fatal(err)
+	}
+	sa.waitN(t, h, 1)
+	for i := 1; i <= 8; i++ {
+		_ = qa.PostWrite(5, 8*i-8, []byte("inflight"), uint64(i))
+	}
+	if err := h.B.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	atClose := fired
+	mu.Unlock()
+	h.Settle()
+	for i := 9; i <= 16; i++ {
+		_ = qa.PostWrite(5, 0, []byte("late"), uint64(i))
+	}
+	h.Settle()
+	mu.Lock()
+	defer mu.Unlock()
+	if fired != atClose {
+		t.Fatalf("watcher fired %d times after B.Close returned", fired-atClose)
 	}
 }
 

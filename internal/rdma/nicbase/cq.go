@@ -28,7 +28,8 @@ const maxBatch = 256
 //     writers, shmnic's synchronous intra-host deliveries).
 //
 // Either way the handler observes completions serially, which is the
-// contract the protocol engine is written against.
+// contract the protocol engine is written against. Region watchers run on
+// the same context (Base.ApplyWrite).
 //
 // A consumer may install a batch handler instead (SetBatchHandler): ring
 // mode then drains the whole ring per wakeup and hands it over in slices of
@@ -55,6 +56,7 @@ type CompletionQueue struct {
 	// Ring mode.
 	ring *Ring
 	wg   sync.WaitGroup
+	land func(rdma.Completion) // applies a landing (Base.ApplyWrite)
 }
 
 // NewEventCQ builds a completion queue for event-loop transports: each
@@ -222,27 +224,30 @@ func (q *CompletionQueue) dispatch() {
 	}
 }
 
-// deliver hands one drained run to the installed consumer.
+// deliver hands one drained run to the installed consumer, in slices of up
+// to maxBatch, and applies each landing (Base.ApplyWrite) at its place.
 func (q *CompletionQueue) deliver(run []rdma.Completion) {
 	q.mu.Lock()
 	h, bh := q.handler, q.batch
 	q.mu.Unlock()
-	if bh != nil {
-		for len(run) > 0 {
-			n := len(run)
-			if n > maxBatch {
-				n = maxBatch
-			}
+	for len(run) > 0 {
+		n := 0
+		for n < len(run) && n < maxBatch && run[n].Op != opLand {
+			n++
+		}
+		switch {
+		case n == 0:
+			q.land(run[0])
+			n = 1
+		case bh != nil:
 			q.batchSize.Observe(int64(n))
 			bh(run[:n])
-			run = run[n:]
+		case h != nil:
+			for _, c := range run[:n] {
+				h(c)
+			}
 		}
-		return
-	}
-	if h != nil {
-		for _, c := range run {
-			h(c)
-		}
+		run = run[n:]
 	}
 }
 

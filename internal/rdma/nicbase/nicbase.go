@@ -48,6 +48,7 @@ type Base struct {
 func (b *Base) Init(id rdma.NodeID, cq *CompletionQueue) {
 	b.id = id
 	b.cq = cq
+	cq.land = b.land
 	b.regions = make(map[rdma.RegionID][]byte)
 	b.watchers = make(map[rdma.RegionID]func(int, int))
 	b.byKey = make(map[QPKey]rdma.QueuePair)
@@ -215,25 +216,52 @@ func (b *Base) WatchRegion(id rdma.RegionID, fn func(offset, length int)) error 
 	return nil
 }
 
+// opLand marks a landing in the completion ring (see ApplyWrite).
+const opLand rdma.OpType = -1
+
 // ApplyWrite lands an inbound one-sided write: payload (when real bytes
 // moved — nil for metadata-only writes) is copied into the registered
-// region, then the region's watcher fires. A write outside a registered
+// region, then the region's watcher fires, on the completion dispatch
+// context: inline in event mode, and in ring mode through the ring, in order
+// with completions, from a copy of payload. A write outside a registered
 // region's bounds is a protocol violation and returns an error for the
-// transport to surface as a broken connection. The watcher runs without
-// Base's lock, so it may re-enter the provider.
+// transport to surface as a broken connection.
 func (b *Base) ApplyWrite(id rdma.RegionID, offset, length int, payload []byte) error {
 	b.mu.Lock()
 	mem := b.regions[id]
-	watcher := b.watchers[id]
 	b.mu.Unlock()
-	if mem != nil && payload != nil {
-		if offset < 0 || offset+length > len(mem) {
-			return fmt.Errorf("nicbase: write [%d,%d) outside region %d of %d bytes", offset, offset+length, id, len(mem))
-		}
-		copy(mem[offset:], payload[:length])
+	if mem != nil && payload != nil && (offset < 0 || offset+length > len(mem)) {
+		return fmt.Errorf("nicbase: write [%d,%d) outside region %d of %d bytes", offset, offset+length, id, len(mem))
 	}
-	if watcher != nil {
-		watcher(offset, length)
+	l := rdma.Completion{Op: opLand, Token: uint64(id), WRID: uint64(offset), Bytes: length, Data: payload}
+	switch {
+	case b.cq.submit != nil:
+		b.land(l)
+	case mem != nil:
+		if payload != nil {
+			l.Data = append([]byte(nil), payload[:length]...)
+		}
+		b.cq.ring.Push(l)
 	}
 	return nil
+}
+
+// land applies one landing, looking the region and watcher up again: a
+// landing queued before UnregisterRegion or Shutdown writes nothing and
+// fires nothing. The watcher runs without Base's lock, so it may re-enter
+// the provider.
+func (b *Base) land(l rdma.Completion) {
+	id, offset := rdma.RegionID(l.Token), int(l.WRID)
+	b.mu.Lock()
+	mem, watcher, closed := b.regions[id], b.watchers[id], b.closed
+	b.mu.Unlock()
+	if closed || (l.Data != nil && offset+l.Bytes > len(mem)) {
+		return // withdrawn, or re-registered smaller, since the write arrived
+	}
+	if l.Data != nil {
+		copy(mem[offset:], l.Data[:l.Bytes])
+	}
+	if watcher != nil {
+		watcher(offset, l.Bytes)
+	}
 }

@@ -1,10 +1,12 @@
 package nicbase
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
 
+	"rdmc/internal/obs"
 	"rdmc/internal/rdma"
 )
 
@@ -435,5 +437,111 @@ func TestRingCQBatchHandlerChunks(t *testing.T) {
 			}
 			next++
 		}
+	}
+}
+
+// landRig is a ring-mode base whose dispatcher is parked inside the batch
+// handler on completion 0, so everything a test queues waits behind it in
+// ring order until release. The handler and the region's watcher append to
+// one log.
+type landRig struct {
+	b    *Base
+	mem  []byte
+	gate chan struct{}
+	log  []string // read only after release
+}
+
+func newLandRig(t *testing.T, o *obs.Obs) *landRig {
+	r := &landRig{b: newBase(NewRingCQ(16)), mem: make([]byte, 8), gate: make(chan struct{})}
+	r.b.SetObserver(o)
+	if err := r.b.RegisterRegion(1, r.mem); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.b.WatchRegion(1, func(off, n int) { r.log = append(r.log, fmt.Sprintf("land %d+%d", off, n)) }); err != nil {
+		t.Fatal(err)
+	}
+	parked := make(chan struct{})
+	r.b.SetBatchHandler(func(cs []rdma.Completion) {
+		for _, c := range cs {
+			r.log = append(r.log, fmt.Sprintf("%v %d", c.Op, c.WRID))
+			if c.WRID == 0 {
+				close(parked)
+				<-r.gate
+			}
+		}
+	})
+	r.b.Complete(rdma.Completion{Op: rdma.OpRecv, WRID: 0})
+	<-parked
+	return r
+}
+
+// release lets the dispatcher drain and stops it.
+func (r *landRig) release() []string {
+	close(r.gate)
+	r.b.CloseCQ()
+	return r.log
+}
+
+// TestLandingsRunInRingOrder: a landing queued between two completions runs
+// between them on the dispatcher, from a copy of the payload taken at
+// arrival, and is neither handed to the completion handler nor counted as a
+// completion.
+func TestLandingsRunInRingOrder(t *testing.T) {
+	o := obs.New(0)
+	r := newLandRig(t, o)
+	r.b.Complete(rdma.Completion{Op: rdma.OpSend, WRID: 1})
+	payload := []byte("abc")
+	if err := r.b.ApplyWrite(1, 2, 3, payload); err != nil {
+		t.Fatal(err)
+	}
+	copy(payload, "xyz") // the poster owns its buffer again
+	r.b.Complete(rdma.Completion{Op: rdma.OpSend, WRID: 2})
+	if string(r.mem[2:5]) == "abc" {
+		t.Error("the write landed on the caller's stack")
+	}
+	want := []string{"recv 0", "send 1", "land 2+3", "send 2"}
+	if got := r.release(); !slices.Equal(got, want) {
+		t.Errorf("dispatch order = %q, want %q", got, want)
+	}
+	if string(r.mem[2:5]) != "abc" {
+		t.Errorf("region = %q, want the bytes as posted", r.mem)
+	}
+	if n := o.Registry().Counter("nic.completions").Load(); n != 3 {
+		t.Errorf("nic.completions = %d, want 3 (landings are not completions)", n)
+	}
+}
+
+// TestLandingAfterUnregisterDropped: a landing queued before its region is
+// withdrawn neither writes the withdrawn memory nor fires its watcher.
+func TestLandingAfterUnregisterDropped(t *testing.T) {
+	r := newLandRig(t, nil)
+	if err := r.b.ApplyWrite(1, 0, 3, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	r.b.UnregisterRegion(1)
+	if got := r.release(); !slices.Equal(got, []string{"recv 0"}) {
+		t.Errorf("dispatch log = %q, want only the completion", got)
+	}
+	if !slices.Equal(r.mem, make([]byte, 8)) {
+		t.Errorf("withdrawn region written: %q", r.mem)
+	}
+}
+
+// TestLandingAfterShutdownDropped: once the base is shut down, neither a
+// landing already queued nor a later write fires anything.
+func TestLandingAfterShutdownDropped(t *testing.T) {
+	r := newLandRig(t, nil)
+	if err := r.b.ApplyWrite(1, 0, 3, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	r.b.Shutdown()
+	if got := r.release(); !slices.Equal(got, []string{"recv 0"}) {
+		t.Errorf("dispatch log = %q, want only the completion", got)
+	}
+	if err := r.b.ApplyWrite(1, 0, 3, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.log) != 1 || !slices.Equal(r.mem, make([]byte, 8)) {
+		t.Errorf("write after shutdown landed: log %q, region %q", r.log, r.mem)
 	}
 }

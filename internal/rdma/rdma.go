@@ -10,9 +10,9 @@
 //     pair, and a completion is raised on both ends;
 //   - a 32-bit immediate value carried with every send (RDMC uses it to
 //     announce the total message size on every block);
-//   - one-sided writes into pre-registered remote memory (RDMC receivers use
-//     one to tell the sender they are ready; the small-message extension
-//     builds its ring buffers from them);
+//   - one-sided writes into pre-registered remote memory (RDMC's readiness
+//     signals ride the control mesh; package sst's status table and
+//     package smc's small-message rings are built from writes);
 //   - break-on-failure semantics: when a connection is lost, outstanding and
 //     future work requests complete with StatusBroken; a provider itself
 //     never retransmits.
@@ -187,7 +187,9 @@ type Provider interface {
 	Region(id RegionID) []byte
 	// WatchRegion installs fn to run after each remote write into the
 	// region, standing in for the polling loop a real one-sided-write
-	// consumer would run.
+	// consumer would run. fn runs serially with the completion handler,
+	// never on the poster's stack: it may take a lock the poster holds
+	// across PostWrite.
 	WatchRegion(id RegionID, fn func(offset, length int)) error
 	// Close releases the provider; all queue pairs break.
 	Close() error

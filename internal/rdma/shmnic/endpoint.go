@@ -10,7 +10,7 @@ import (
 // endpoint is one half of an intra-host queue pair. All mutable state is
 // guarded by the pair's lock, which both halves share; posts deliver
 // synchronously into the peer half while the lock is held, and the side
-// effects that may re-enter a provider — completions and region writes —
+// effects bound for a completion queue — completions and region writes —
 // are collected in an effects set and run after the lock drops.
 type endpoint struct {
 	x     *Exchange
@@ -101,9 +101,9 @@ type emit struct {
 }
 
 // apply is one one-sided write bound for a host's registered region. The
-// payload is the poster's slice, zero-copy: applies run before completions,
-// so the bytes land in the region before the poster can observe the write
-// completion and reuse the buffer.
+// payload is the poster's slice: applies run before completions, and
+// ApplyWrite copies it before returning, so the poster cannot observe the
+// write completion and reuse the buffer before its bytes are captured.
 type apply struct {
 	src    *endpoint
 	h      Host
@@ -134,9 +134,10 @@ func (fx *effects) complete(e *endpoint, c rdma.Completion) {
 
 // run executes the collected side effects with no locks held: region writes
 // first (mirroring the hardware, where the write lands before its completion
-// is observable), completions second. A write that misses its target region
-// breaks the pair, exactly as a real NIC fails the connection on an invalid
-// remote access. fx recycles into the pool; it must not be used after run.
+// is observable), completions second; the target's dispatcher runs the
+// watcher. A write that misses its target region breaks the pair, exactly
+// as a real NIC fails the connection on an invalid remote access. fx
+// recycles into the pool; it must not be used after run.
 func (fx *effects) run() {
 	for _, a := range fx.applies {
 		if err := a.h.ApplyWrite(a.region, a.offset, a.length, a.data); err != nil {

@@ -18,13 +18,13 @@
 //
 // Semantics match the other providers: FIFO per queue pair, early arrivals
 // staged (by copy, through the host's buffer pool) until a receive is
-// posted, one-sided writes applied to the target's registered region with
-// the watcher fired, and break-on-failure — closing either end fails the
-// outstanding work requests of both with StatusBroken. Send buffers are
-// referenced zero-copy until the send completion fires, per the ownership
-// contract on rdma.QueuePair; because delivery happens inside the post
-// call, the payload has always been copied out (to the peer's buffer or to
-// staging) by the time the completion is observable.
+// posted, one-sided writes landed by the target's completion dispatcher,
+// and break-on-failure — closing either end fails the outstanding work
+// requests of both with StatusBroken. Send buffers are referenced zero-copy
+// until the send completion fires, per the ownership contract on
+// rdma.QueuePair; because delivery happens inside the post call, the
+// payload has always been copied out (to the peer's buffer or to staging)
+// by the time the completion is observable.
 //
 // Locking: each queue pair has one lock, held by both halves for every
 // post, match, copy and break, so copies on different queue pairs run in
@@ -62,8 +62,9 @@ type Host interface {
 // host registry and the pair table and is never held across a copy. Lock
 // order: Base.mu → Exchange.mu when pairing (EnsureQP creates endpoints
 // under the host's lock), pair lock → Base.mu on posts (CheckPost).
-// Completions and region writes are applied after the pair lock drops, so
-// the completion queue and region watchers can re-enter the providers.
+// Completions and region writes are queued after the pair lock drops: a
+// full completion ring blocks its producer, and the dispatcher draining it
+// may need the pair lock to post.
 type Exchange struct {
 	mu    sync.Mutex
 	hosts map[rdma.NodeID]Host

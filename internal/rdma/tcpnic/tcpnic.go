@@ -19,9 +19,9 @@
 //     socket directly into the posted buffer, with no staging and no copy.
 //     Only early arrivals (no receive posted yet) stage in a pooled buffer
 //     and pay one copy when the receive lands;
-//   - one-sided writes are frames applied directly to the target's
-//     registered region without raising a receive completion, mirroring
-//     RDMA write semantics;
+//   - one-sided writes are frames applied to the target's registered
+//     region (by the completion dispatcher) without raising a receive
+//     completion, mirroring RDMA write semantics;
 //   - a connection error surfaces as StatusBroken completions for all
 //     outstanding work requests on the queue pair, like an RC connection
 //     exhausting its retries.

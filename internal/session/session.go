@@ -232,12 +232,6 @@ type logEntry struct {
 	data []byte
 }
 
-// cellPush is one remote table update.
-type cellPush struct {
-	row, col int
-	v        uint64
-}
-
 // Manager is one node's endpoint of a session.
 type Manager struct {
 	engine *core.Engine
@@ -276,8 +270,6 @@ type Manager struct {
 	queued      []logEntry // root-side sends accepted while wedged
 	ready       []logEntry // the sequences just below nextDeliver not yet handed to Deliver
 	handing     bool       // a thread is running Deliver callbacks
-	pushMu      sync.Mutex // guards pushes; held only to append or take them
-	pushes      []cellPush // remote table updates awaiting mu
 
 	barrier    bool // every member of the current view has installed it
 	resendDone bool
@@ -353,45 +345,27 @@ func (m *Manager) setLocked(col uint, v uint64) {
 	_ = m.table.Set(col, v) // push errors surface as peer-side suspicion
 }
 
-// onTableUpdate queues a remote member's cell update, in arrival order, for
-// mu. A provider may run it on the poster's thread (shmnic), a peer session
-// that may hold its own lock while a thread holding ours pushes into it, so a
-// contended mu is awaited on a new goroutine rather than here.
+// onTableUpdate folds a remote member's cell update into the shadow and
+// reacts. It runs on the provider's completion dispatcher, never on the
+// pusher's stack (rdma.Provider.WatchRegion), so it may wait for mu.
 func (m *Manager) onTableUpdate(row, col int, v uint64) {
-	m.pushMu.Lock()
-	m.pushes = append(m.pushes, cellPush{row, col, v})
-	m.pushMu.Unlock()
-	if m.mu.TryLock() {
-		m.applyPushes()
-	} else {
-		go func() { m.mu.Lock(); m.applyPushes() }()
-	}
-}
-
-// applyPushes folds queued updates into the shadow and reacts; it releases mu.
-func (m *Manager) applyPushes() {
-	m.pushMu.Lock()
-	batch := m.pushes
-	m.pushes = nil
-	m.pushMu.Unlock()
+	m.mu.Lock()
+	m.rows[row][col] = v // peers write only their own rows
 	var actions []func()
-	for _, p := range batch {
-		m.rows[p.row][p.col] = p.v // peers write only their own rows
-		switch m.state {
-		case StateActive:
-			switch p.col {
-			case colSuspected, colProposed:
-				actions = append(actions, m.reactRemoteLocked(p.row)...)
-			case colInstalled:
-				actions = append(actions, m.tryPumpLocked()...)
-			case colDelivered:
-				m.pruneLocked()
-			case colHave:
-				m.advanceLocked()
-			}
-		case StateWedged, StateStalled:
-			actions = append(actions, m.tryDecideLocked()...)
+	switch m.state {
+	case StateActive:
+		switch col {
+		case colSuspected, colProposed:
+			actions = m.reactRemoteLocked(row)
+		case colInstalled:
+			actions = m.tryPumpLocked()
+		case colDelivered:
+			m.pruneLocked()
+		case colHave:
+			m.advanceLocked()
 		}
+	case StateWedged, StateStalled:
+		actions = m.tryDecideLocked()
 	}
 	m.mu.Unlock()
 	runAll(actions)
@@ -856,8 +830,9 @@ func (m *Manager) advanceLocked() {
 }
 
 // handOff runs Deliver for the ready queue, in order and outside the lock.
-// With Uniform the frontier also advances on the table-push thread, so only
-// the thread that finds no hand-off running drains the queue.
+// Core deliveries and, with Uniform, table updates both advance the frontier,
+// and the engine promises no single thread for its callbacks, so only the
+// thread that finds no hand-off running drains the queue.
 func (m *Manager) handOff() {
 	m.mu.Lock()
 	for !m.handing && len(m.ready) > 0 {

@@ -40,7 +40,8 @@ func region(id uint32) rdma.RegionID { return rdma.RegionID(id | 1<<30) }
 // the local replica (the polling thread a real SST runs), with the cell's
 // row, column and value, read race-free on the applying thread (a cell has
 // one writer). It is installed before any queue pair connects, so no write
-// lands unobserved; it may run on any thread, even inside the pusher's Set.
+// lands unobserved. It runs on the provider's completion dispatch context,
+// never inside the pusher's Set (rdma.Provider.WatchRegion).
 func New(provider rdma.Provider, id uint32, members []rdma.NodeID, cols int, onPush func(row, col int, v uint64)) (*Table, error) {
 	if cols < 1 {
 		return nil, fmt.Errorf("sst: need at least one column, got %d", cols)

@@ -248,10 +248,11 @@ func TestSessionConfigValidation(t *testing.T) {
 }
 
 // TestUniformSessionOverLocalCluster runs a uniform session over real
-// transports. There the table-push thread and the completion thread both
-// advance the delivery frontier, so this is where an ordering race in the
-// hand-off to Deliver would show: every member must deliver every message
-// gap-free, in order, and byte-equal.
+// transports. There core deliveries and table pushes both advance the
+// delivery frontier, and each push's watcher takes the session lock on the
+// completion dispatcher, so this is where an ordering race in the hand-off
+// to Deliver, or a watcher run on a poster's stack, would show: every member
+// must deliver every message gap-free, in order, and byte-equal.
 func TestUniformSessionOverLocalCluster(t *testing.T) {
 	for _, tc := range []struct {
 		name string
