@@ -388,7 +388,6 @@ func (e *Engine) onCompletionBatch(batch []rdma.Completion) {
 			for _, c := range batch[i:j] {
 				cbs = append(cbs, g.onCompletionLocked(c)...)
 			}
-			g.noticeDefer = false
 			g.flushNoticesLocked()
 			g.mu.Unlock()
 			runAll(cbs)

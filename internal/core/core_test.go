@@ -225,6 +225,9 @@ func TestCreateGroupErrors(t *testing.T) {
 	}
 }
 
+// TestSingleMemberGroupDeliversLocally sends a multi-block message and then
+// one-block ones through a group with no receivers. The one-block path has
+// no target to grant credit, so the root must never hold a message for it.
 func TestSingleMemberGroupDeliversLocally(t *testing.T) {
 	grid := testGrid(t, 1)
 	var delivered int
@@ -235,12 +238,14 @@ func TestSingleMemberGroupDeliversLocally(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.SendSized(1000); err != nil {
-		t.Fatal(err)
+	for _, size := range []int{1000, 10, 64, 5} {
+		if err := g.SendSized(size); err != nil {
+			t.Fatal(err)
+		}
 	}
 	grid.Run()
-	if delivered != 1 {
-		t.Errorf("delivered = %d, want 1", delivered)
+	if delivered != 4 {
+		t.Errorf("delivered = %d, want 4", delivered)
 	}
 }
 

@@ -79,29 +79,28 @@ type Group struct {
 
 	qps map[int]rdma.QueuePair // rank (| oneBlockQP for one-block edges) → queue pair
 
-	// readyCounts accumulates per-receiver readiness credit, keyed by
-	// (sequence, receiver rank) so a fast receiver can announce readiness
-	// for a sequence this node has not started yet. Each credit licenses
-	// one more scheduled send to that receiver; because both sides order
-	// their (sender, target) transfers by the same deterministic plan,
-	// a cumulative count is enough to agree on which blocks are licensed,
-	// and counts let receivers batch several notices into one message.
-	readyCounts map[readyKey]int
-	lastPlan    planMemo
+	// credit is the readiness ledger: per target rank, the receives that
+	// target has granted and this member has not yet sent into. Row 0
+	// counts scheduled receives, row 1 standing one-block receives; a
+	// CtrlReadyBlock adds to a count and each send posted takes one off.
+	// Both ends walk each (sender, target) pair's transfers in one plan
+	// order, message after message, and a target grants a message's
+	// receives only once it has delivered the previous one — which needed
+	// every earlier send from this member — so credit that arrives early
+	// waits in the count and never licenses a send of the wrong message.
+	// Rows are allocated on first use.
+	credit   [2][]int
+	lastPlan planMemo
 
 	// The one-block path (see oneblock.go). obPlan is this member's slice
-	// of the one-block plan, nil until the first one-block message, and
-	// obOK whether the path can run on it; obCredit counts, per target
-	// rank, granted standing receives not yet sent to; obReady latches on
-	// the root once every target has granted; obRecv is the staging buffer
-	// of the standing receive (nil while none is posted); obSlot is an
-	// arrival waiting behind the active transfer.
-	obPlan   *schedule.NodePlan
-	obOK     bool
-	obCredit []int
-	obReady  bool
-	obRecv   []byte
-	obSlot   *transfer
+	// of the one-block plan, nil until the first one-block message;
+	// obReady latches on the root once every target has granted; obRecv is
+	// the staging buffer of the standing receive (nil while none is
+	// posted); obSlot is an arrival waiting behind the active transfer.
+	obPlan  *schedule.NodePlan
+	obReady bool
+	obRecv  []byte
+	obSlot  *transfer
 
 	// Adaptive scheduling state (see adaptive.go). lastMask is the root's
 	// previous plan decision, fed back into the hysteresis; the stall/post
@@ -120,12 +119,12 @@ type Group struct {
 	stallThrottle uint64
 
 	// Notice deferral: while a completion batch is being processed (see
-	// Engine.onCompletionBatch), outbound ready-for-block notices merge
-	// into noticeQ instead of hitting the control channel one by one; the
-	// batch handler flushes them — one credit-carrying message per
-	// (receiver sequence, source) — before releasing the lock. Credit is
-	// cumulative, so merging never changes what senders may do, only how
-	// many control messages say so.
+	// Engine.onCompletionBatch) or a receive window advances, outbound
+	// ready-for-block notices merge into noticeQ instead of hitting the
+	// control channel one by one; whoever set noticeDefer flushes them —
+	// one credit-carrying message per (receiver sequence, source) — before
+	// releasing the lock. Credit is cumulative, so merging never changes
+	// what senders may do, only how many control messages say so.
 	noticeDefer bool
 	noticeQ     []queuedNotice
 
@@ -192,16 +191,15 @@ func (e *Engine) CreateGroup(id GroupID, members []rdma.NodeID, cfg GroupConfig)
 		cfg.RecvWindow = cfg.SendWindow
 	}
 	g := &Group{
-		engine:      e,
-		id:          id,
-		members:     append([]rdma.NodeID(nil), members...),
-		rank:        -1,
-		cfg:         cfg,
-		qps:         make(map[int]rdma.QueuePair),
-		readyCounts: make(map[readyKey]int),
-		state:       stateActive,
-		failedVia:   make(map[rdma.NodeID]bool),
-		closeAcks:   make(map[int]bool),
+		engine:    e,
+		id:        id,
+		members:   append([]rdma.NodeID(nil), members...),
+		rank:      -1,
+		cfg:       cfg,
+		qps:       make(map[int]rdma.QueuePair),
+		state:     stateActive,
+		failedVia: make(map[rdma.NodeID]bool),
+		closeAcks: make(map[int]bool),
 	}
 	for i, m := range members {
 		if m == e.NodeID() {
@@ -443,6 +441,19 @@ func (g *Group) CloseConnections() {
 	g.qps = make(map[int]rdma.QueuePair)
 }
 
+// creditRow returns the ledger row of scheduled or (standing) one-block
+// credit, allocating it on first use.
+func (g *Group) creditRow(standing bool) []int {
+	i := 0
+	if standing {
+		i = 1
+	}
+	if g.credit[i] == nil {
+		g.credit[i] = make([]int, len(g.members))
+	}
+	return g.credit[i]
+}
+
 // rankOf returns the rank of a node, or -1.
 func (g *Group) rankOf(node rdma.NodeID) int {
 	for i, m := range g.members {
@@ -508,8 +519,10 @@ func (g *Group) ctrlSentObs(rank int, m CtrlMsg) {
 	}
 }
 
-// flushNoticesLocked drains the deferral queue to the control channel.
+// flushNoticesLocked ends the deferral and drains its queue to the control
+// channel.
 func (g *Group) flushNoticesLocked() {
+	g.noticeDefer = false
 	for i := range g.noticeQ {
 		g.ctrlSentObs(g.noticeQ[i].rank, g.noticeQ[i].m)
 		_ = g.engine.ctrl.Send(g.members[g.noticeQ[i].rank], g.noticeQ[i].m)
@@ -592,10 +605,11 @@ func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 		}
 		// Credit the notice: it may concern a sequence this node has not
 		// started yet (a receiver that finished the previous message and
-		// prepared the next while this relayer is still draining). No sender
-		// emits a notice for a sequence already delivered here, or one
-		// carrying no credit; crediting such a frame would leave a
-		// readyCounts entry that delivery never clears, so it is dropped.
+		// prepared the next while this relayer is still draining), and then
+		// waits in the ledger. No sender emits a notice for a sequence
+		// already delivered here, or one carrying no credit; crediting such
+		// a frame would license a send into a receive never posted, so it
+		// is dropped.
 		fromRank := g.rankOf(from)
 		if fromRank < 0 || m.Seq < g.delivered || m.Count <= 0 {
 			return nil
@@ -603,7 +617,7 @@ func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 		if m.Seq == oneBlockSeq {
 			return g.oneBlockCreditLocked(fromRank, m.Count)
 		}
-		g.readyCounts[readyKey{seq: m.Seq, to: fromRank}] += m.Count
+		g.creditRow(false)[fromRank] += m.Count
 		if eo := g.engine.eobs; eo != nil {
 			eo.credits.Add(uint64(m.Count))
 			eo.record(g.engine.host.Now(), obs.EvCreditUpdate, g.id, m.Seq, m.Block, fromRank, int64(m.Count))
@@ -711,7 +725,8 @@ func (g *Group) maybeStartNextLocked() []func() {
 		// takes two data hops where this prepare took one mesh hop.
 		return nil
 	}
-	ob := g.rank == 0 && g.obPlan != nil && g.obOK && next.size <= int64(g.oneBlockCap())
+	// A single-member root has no target to grant the one-block credit.
+	ob := g.rank == 0 && g.obPlan != nil && len(g.members) > 1 && next.size <= int64(g.oneBlockCap())
 	if ob && !g.obReady {
 		return nil // held until every target has armed
 	}

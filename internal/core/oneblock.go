@@ -43,43 +43,30 @@ const (
 // oneBlockCap is the largest message the one-block path carries.
 func (g *Group) oneBlockCap() int { return min(g.cfg.BlockSize, oneBlockMax) }
 
-// k1Plan is a rank's slice of the one-block plan.
-func (g *Group) k1Plan(rank int) schedule.NodePlan {
-	if ap, ok := g.cfg.Generator.(schedule.AdaptivePlanner); ok {
-		return ap.MaskedNodePlan(len(g.members), 1, rank, 0)
-	}
-	return g.cfg.Generator.NodePlan(len(g.members), 1, rank)
-}
-
 // oneBlockPlanLocked returns this member's slice of the one-block plan,
 // building it on first use. It stays apart from the plan memo, so one-block
-// messages never evict the multi-block plan. ok is false on a receiver the
-// plan does not give exactly one source, which therefore never arms, and on
-// a root of a group with such a receiver, which therefore never holds a
-// message for credit that cannot come.
-func (g *Group) oneBlockPlanLocked() (schedule.NodePlan, bool) {
+// messages never evict the multi-block plan. Every valid plan gives each
+// receiver exactly one source at k = 1 (schedule.Plan.Validate).
+func (g *Group) oneBlockPlanLocked() schedule.NodePlan {
 	if g.obPlan == nil {
-		np := g.k1Plan(g.rank)
-		g.obPlan = &np
-		g.obOK = len(np.Recvs) == 1
-		if g.rank == 0 {
-			g.obOK = len(np.Recvs) == 0 && len(np.Sends) > 0
-			for r := 1; g.obOK && r < len(g.members); r++ {
-				g.obOK = len(g.k1Plan(r).Recvs) == 1
-			}
+		var np schedule.NodePlan
+		if ap, ok := g.cfg.Generator.(schedule.AdaptivePlanner); ok {
+			np = ap.MaskedNodePlan(len(g.members), 1, g.rank, 0)
+		} else {
+			np = g.cfg.Generator.NodePlan(len(g.members), 1, g.rank)
 		}
+		g.obPlan = &np
 	}
-	return *g.obPlan, g.obOK
+	return *g.obPlan
 }
 
 // armOneBlockLocked posts a receiver's standing receive and grants its
 // source the credit.
 func (g *Group) armOneBlockLocked() []func() {
-	np, ok := g.oneBlockPlanLocked()
-	if !ok || g.rank == 0 || g.state != stateActive {
+	if g.rank == 0 || g.state != stateActive {
 		return nil
 	}
-	src := np.Recvs[0].From
+	src := g.oneBlockPlanLocked().Recvs[0].From
 	qp, err := g.qpTo(src, oneBlockQP)
 	if err != nil {
 		return g.failLocked(g.members[src], true)
@@ -101,21 +88,15 @@ func (g *Group) oneBlockCreditLocked(rank, count int) []func() {
 	if g.obPlan == nil {
 		return nil // no one-block message has armed anything yet
 	}
-	np, ok := g.oneBlockPlanLocked()
-	if !ok {
-		return nil
-	}
-	if g.obCredit == nil {
-		g.obCredit = make([]int, len(g.members))
-	}
-	g.obCredit[rank] += count
+	credit := g.creditRow(true)
+	credit[rank] += count
 	if eo := g.engine.eobs; eo != nil {
 		eo.record(g.engine.host.Now(), obs.EvCreditUpdate, g.id, -1, 0, rank, int64(count))
 	}
 	if g.rank == 0 && !g.obReady {
 		g.obReady = true
-		for _, tr := range np.Sends {
-			g.obReady = g.obReady && g.obCredit[tr.To] > 0
+		for _, tr := range g.obPlan.Sends {
+			g.obReady = g.obReady && credit[tr.To] > 0
 		}
 	}
 	if t := g.current; t != nil && t.ob {
@@ -134,11 +115,10 @@ func (g *Group) oneBlockCreditLocked(rank, count int) []func() {
 // (a member re-arms only when an arrival becomes active) leaves at most one
 // arrival waiting beside the active transfer.
 func (g *Group) oneBlockArrivedLocked(c rdma.Completion) []func() {
-	np, ok := g.oneBlockPlanLocked()
-	if !ok || g.rank == 0 || g.state != stateActive {
+	if g.rank == 0 || g.state != stateActive {
 		return nil
 	}
-	src := np.Recvs[0].From
+	src := g.oneBlockPlanLocked().Recvs[0].From
 	seq, staging := int(c.Imm), g.obRecv
 	g.obRecv = nil
 	next := g.delivered

@@ -6,18 +6,6 @@ import (
 	"rdmc/internal/schedule"
 )
 
-// readyKey identifies a receiver whose readiness credit is being counted
-// for one sequence. Readiness can arrive before the sender has started the
-// sequence (a fast receiver racing a slow relayer), so the group keeps the
-// counters rather than tying them to the active transfer. The schedule both
-// sides share orders each (sender, receiver) pair's transfers identically
-// (by round), so a plain count of posted receives identifies exactly which
-// scheduled sends are licensed.
-type readyKey struct {
-	seq int
-	to  int // rank of the receiver that is ready
-}
-
 // transfer is the per-message state machine of one group member.
 type transfer struct {
 	g    *Group
@@ -45,7 +33,6 @@ type transfer struct {
 	sendsInFlight int    // posted, completion not yet seen
 	sendsDone     int    // completions seen
 	sendDone      []bool // per-schedule-index completion flags
-	sentTo        []int  // per-rank count of sends posted (consumed credit)
 
 	// Receive side: receives are posted through a sliding window of
 	// RecvWindow entries ahead of completions, pacing upstream senders.
@@ -81,7 +68,7 @@ func newTransfer(g *Group, pm pendingMsg, ob bool) *transfer {
 		// one-block message takes the prepare path on the one-block edges
 		// and arms them; a later prepared one stays on the main edges.
 		first := g.obPlan == nil
-		t.np, _ = g.oneBlockPlanLocked()
+		t.np = g.oneBlockPlanLocked()
 		g.planObs(!first, k)
 		if ob || first {
 			t.edges = oneBlockQP
@@ -90,7 +77,6 @@ func newTransfer(g *Group, pm pendingMsg, ob bool) *transfer {
 		t.np = g.nodePlan(k, pm.mask)
 	}
 	t.sendDone = make([]bool, len(t.np.Sends))
-	t.sentTo = make([]int, len(g.members))
 	switch {
 	case g.rank == 0:
 		t.started = ob || len(g.members) == 1
@@ -260,15 +246,17 @@ func (t *transfer) finishMemberSetupLocked(data []byte) []func() {
 // announced to its source with a ready-for-block notice, so senders never
 // transmit into unposted memory and, transitively, the whole pipeline stays
 // paced to receiver progress — the paper's "posts only a few receives per
-// group" discipline. Notices for receives posted in one pass are batched
-// into a single credit-carrying message per source, so widening the window
-// does not multiply control traffic. It returns non-nil only on failure.
+// group" discipline. The notices merge in the group's deferral queue into
+// one credit-carrying message per source, so widening the window does not
+// multiply control traffic; outside a completion batch the pass flushes the
+// queue itself on return, failure included (the notices name receives that
+// were posted). It returns non-nil only on failure.
 func (t *transfer) postRecvWindowLocked() []func() {
 	g := t.g
-	// A window's worth of receives rarely spans more than a couple of
-	// sources; a small linear-scanned batch list stays on the stack.
-	var batchBuf [4]readyNotice
-	batch := batchBuf[:0]
+	if !g.noticeDefer {
+		g.noticeDefer = true
+		defer g.flushNoticesLocked()
+	}
 	for t.recvPosted < len(t.np.Recvs) && t.recvPosted-t.recvDone < g.cfg.RecvWindow {
 		idx := t.recvPosted
 		tr := t.np.Recvs[idx]
@@ -288,38 +276,10 @@ func (t *transfer) postRecvWindowLocked() []func() {
 		}
 		g.obsEvent(obs.EvRecvPosted, t.seq, tr.Block, tr.From, int64(buf.Len))
 		t.recvPosted++
-		found := false
-		for i := range batch {
-			if batch[i].rank == tr.From {
-				batch[i].count++
-				found = true
-				break
-			}
-		}
-		if !found {
-			batch = append(batch, readyNotice{rank: tr.From, round: tr.Round, block: tr.Block, count: 1})
-		}
-	}
-	for _, nb := range batch {
-		g.ctrlTo(nb.rank, CtrlMsg{
-			Kind:  CtrlReadyBlock,
-			Group: g.id,
-			Seq:   t.seq,
-			Round: nb.round, // first batched transfer, for observability
-			Block: nb.block,
-			Count: nb.count,
-		})
+		// Round and Block name the first merged transfer, for observability.
+		g.ctrlTo(tr.From, CtrlMsg{Kind: CtrlReadyBlock, Group: g.id, Seq: t.seq, Round: tr.Round, Block: tr.Block, Count: 1})
 	}
 	return nil
-}
-
-// readyNotice accumulates ready-for-block credit for one upstream source
-// during a single receive-window advance.
-type readyNotice struct {
-	rank  int
-	round int
-	block int
-	count int
 }
 
 // receiverReadyLocked gates the root's first send on every receiver having
@@ -360,7 +320,8 @@ func (t *transfer) pumpSendsLocked() []func() {
 		if !t.have[tr.Block] {
 			return nil
 		}
-		if t.ob && (g.obCredit == nil || g.obCredit[tr.To] <= 0) || !t.ob && t.sentTo[tr.To] >= g.readyCounts[readyKey{seq: t.seq, to: tr.To}] {
+		credit := g.creditRow(t.ob)
+		if credit[tr.To] <= 0 {
 			g.stallCredit++
 			return nil
 		}
@@ -397,14 +358,11 @@ func (t *transfer) pumpSendsLocked() []func() {
 			}
 			return g.failLocked(g.members[tr.To], true)
 		}
-		if t.ob {
-			g.obCredit[tr.To]--
-		}
+		credit[tr.To]--
 		if eo := g.engine.eobs; eo != nil {
 			eo.blocksSent.Inc()
 			eo.record(g.engine.host.Now(), obs.EvSendPosted, g.id, t.seq, tr.Block, tr.To, int64(t.blockLen(tr.Block)))
 		}
-		t.sentTo[tr.To]++
 		t.sendsInFlight++
 		t.sendIdx++
 		g.postedSends++
@@ -554,11 +512,6 @@ func (t *transfer) deliverLocked() []func() {
 	if t.staging != nil {
 		g.engine.staging.Put(t.staging)
 		t.staging = nil
-	}
-	for key := range g.readyCounts {
-		if key.seq == t.seq {
-			delete(g.readyCounts, key)
-		}
 	}
 	if t.stats != nil {
 		t.stats.DeliveredAt = g.engine.host.Now()

@@ -41,6 +41,8 @@ type Base struct {
 	byKey    map[QPKey]rdma.QueuePair
 	qps      []rdma.QueuePair
 	closed   bool
+
+	pool *BufPool // ring mode only
 }
 
 // Init wires the base to its identity and completion queue. Providers call
@@ -48,11 +50,25 @@ type Base struct {
 func (b *Base) Init(id rdma.NodeID, cq *CompletionQueue) {
 	b.id = id
 	b.cq = cq
-	cq.land = b.land
+	if cq.submit == nil {
+		b.pool = new(BufPool)
+		cq.land = func(l rdma.Completion) {
+			b.land(l)
+			b.pool.Put(l.Data)
+		}
+	}
 	b.regions = make(map[rdma.RegionID][]byte)
 	b.watchers = make(map[rdma.RegionID]func(int, int))
 	b.byKey = make(map[QPKey]rdma.QueuePair)
 }
+
+// Pool is the node's buffer pool: early arrivals, inbound write payloads
+// and their ring landings draw from it, and transports co-hosting
+// endpoints of another (package shmnic) share it, so one set of size
+// classes serves the whole node. It is nil in event mode, which lands
+// writes inline and stages nothing, so a simulated cluster of hundreds of
+// nodes does not carry a pool per node.
+func (b *Base) Pool() *BufPool { return b.pool }
 
 // NodeID implements rdma.Provider.
 func (b *Base) NodeID() rdma.NodeID { return b.id }
@@ -223,10 +239,22 @@ const opLand rdma.OpType = -1
 // moved — nil for metadata-only writes) is copied into the registered
 // region, then the region's watcher fires, on the completion dispatch
 // context: inline in event mode, and in ring mode through the ring, in order
-// with completions, from a copy of payload. A write outside a registered
-// region's bounds is a protocol violation and returns an error for the
-// transport to surface as a broken connection.
+// with completions, from a pooled copy of payload. A write outside a
+// registered region's bounds is a protocol violation and returns an error
+// for the transport to surface as a broken connection.
 func (b *Base) ApplyWrite(id rdma.RegionID, offset, length int, payload []byte) error {
+	if payload != nil && b.cq.submit == nil {
+		payload = append(b.pool.Get(length)[:0], payload[:length]...)
+	}
+	return b.ApplyPooledWrite(id, offset, length, payload)
+}
+
+// ApplyPooledWrite is ApplyWrite for a ring-mode transport that hands over
+// a payload taken from Pool(), such as the buffer it read the write off the
+// wire into: the ring carries that buffer itself, and the landing returns
+// it to the pool once copied into the region. A refused write leaves it to
+// the collector.
+func (b *Base) ApplyPooledWrite(id rdma.RegionID, offset, length int, payload []byte) error {
 	b.mu.Lock()
 	mem := b.regions[id]
 	b.mu.Unlock()
@@ -238,9 +266,6 @@ func (b *Base) ApplyWrite(id rdma.RegionID, offset, length int, payload []byte) 
 	case b.cq.submit != nil:
 		b.land(l)
 	case mem != nil:
-		if payload != nil {
-			l.Data = append([]byte(nil), payload[:length]...)
-		}
 		b.cq.ring.Push(l)
 	}
 	return nil

@@ -3,6 +3,7 @@ package nicbase
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Size classes span 64 B (small write and control payloads) to 4 MB (the
@@ -23,7 +24,10 @@ const (
 // with 64 B control payloads recycles both instead of thrashing one shared
 // free list. Requests beyond the largest class fall through to the garbage
 // collector, and Put drops any buffer whose capacity is not an exact class
-// size — an oversize or foreign buffer can never poison a class.
+// size — an oversize or foreign buffer can never poison a class. A class
+// holds a buffer as the pointer to its first byte, which an interface
+// carries without an allocation; the exact class capacity rebuilds the
+// slice.
 type BufPool struct {
 	classes [poolClasses]sync.Pool
 }
@@ -52,7 +56,7 @@ func (p *BufPool) Get(n int) []byte {
 	}
 	c := classFor(n)
 	if v := p.classes[c].Get(); v != nil {
-		return (*(v.(*[]byte)))[:n]
+		return unsafe.Slice(v.(*byte), 1<<(c+poolMinBits))[:n]
 	}
 	return make([]byte, n, 1<<(c+poolMinBits))
 }
@@ -66,6 +70,5 @@ func (p *BufPool) Put(b []byte) {
 	if c < 1<<poolMinBits || c > 1<<poolMaxBits || c&(c-1) != 0 {
 		return
 	}
-	b = b[:c]
-	p.classes[bits.Len(uint(c))-1-poolMinBits].Put(&b)
+	p.classes[bits.Len(uint(c))-1-poolMinBits].Put(unsafe.SliceData(b))
 }

@@ -1,8 +1,6 @@
 package shmnic
 
 import (
-	"sync"
-
 	"rdmc/internal/rdma"
 	"rdmc/internal/rdma/nicbase"
 )
@@ -114,18 +112,29 @@ type apply struct {
 }
 
 // effects accumulates the provider re-entrant side effects of a locked
-// state transition. Instances cycle through a pool — the struct is handed
-// across non-inlined calls and self-references its slices, so a stack
-// instance would escape and cost an allocation per post; recycling keeps
-// the steady-state data plane allocation-free.
+// state transition. Instances cycle through their pair's free list — the
+// struct is handed across non-inlined calls and self-references its slices,
+// so a stack instance would escape and cost an allocation per post, and a
+// sync.Pool may drop what it is handed (the race detector drops a quarter
+// on purpose); the free list keeps the steady-state data plane
+// allocation-free in every build.
 type effects struct {
+	p       *pair
 	comps   []emit
 	applies []apply
 }
 
-var fxPool = sync.Pool{New: func() any { return new(effects) }}
-
-func newEffects() *effects { return fxPool.Get().(*effects) }
+// effectsLocked takes a free effects set or makes one. The caller holds
+// p.mu.
+func (p *pair) effectsLocked() *effects {
+	if n := len(p.free); n > 0 {
+		fx := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return fx
+	}
+	return &effects{p: p}
+}
 
 func (fx *effects) complete(e *endpoint, c rdma.Completion) {
 	c.Peer, c.Token = e.peer, e.token
@@ -137,7 +146,7 @@ func (fx *effects) complete(e *endpoint, c rdma.Completion) {
 // is observable), completions second; the target's dispatcher runs the
 // watcher. A write that misses its target region breaks the pair, exactly
 // as a real NIC fails the connection on an invalid remote access. fx
-// recycles into the pool; it must not be used after run.
+// returns to its pair's free list; it must not be used after run.
 func (fx *effects) run() {
 	for _, a := range fx.applies {
 		if err := a.h.ApplyWrite(a.region, a.offset, a.length, a.data); err != nil {
@@ -154,7 +163,10 @@ func (fx *effects) run() {
 		fx.applies[i] = apply{}
 	}
 	fx.comps, fx.applies = fx.comps[:0], fx.applies[:0]
-	fxPool.Put(fx)
+	p := fx.p
+	p.mu.Lock()
+	p.free = append(p.free, fx)
+	p.mu.Unlock()
 }
 
 // Peer implements rdma.QueuePair.
@@ -188,7 +200,7 @@ func (e *endpoint) post(wr outWR) error {
 		e.p.mu.Unlock()
 		return nil
 	}
-	fx := newEffects()
+	fx := e.p.effectsLocked()
 	e.deliverLocked(wr, fx)
 	e.p.mu.Unlock()
 	fx.run()
@@ -207,7 +219,7 @@ func (e *endpoint) PostRecv(buf rdma.Buffer, wrID uint64) error {
 		return err
 	}
 	if e.arrivals.len() > 0 {
-		fx := newEffects()
+		fx := e.p.effectsLocked()
 		a := e.arrivals.peek()
 		if a.data != nil && buf.Data != nil && len(buf.Data) < len(a.data) {
 			e.breakBothLocked(fx)
@@ -240,8 +252,8 @@ func (e *endpoint) Close() error {
 }
 
 func (e *endpoint) breakBoth() {
-	fx := newEffects()
 	e.p.mu.Lock()
+	fx := e.p.effectsLocked()
 	e.breakBothLocked(fx)
 	e.p.mu.Unlock()
 	fx.run()

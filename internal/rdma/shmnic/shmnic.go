@@ -43,7 +43,7 @@ import (
 // Host is the provider-side surface an endpoint needs from whichever NIC
 // owns it: the standalone shmnic Provider, or a transport like tcpnic
 // co-hosting intra-host endpoints next to its sockets. nicbase.Base
-// supplies everything but Pool.
+// supplies all of it.
 type Host interface {
 	NodeID() rdma.NodeID
 	CheckPost() error
@@ -93,6 +93,7 @@ func keyOf(local, peer rdma.NodeID, token uint64) (pairKey, int) {
 type pair struct {
 	mu   sync.Mutex
 	half [2]*endpoint // guarded by Exchange.mu
+	free []*effects   // effects sets whose run has returned; guarded by mu
 }
 
 // NewExchange creates an empty intra-host domain.
@@ -198,7 +199,7 @@ func (x *Exchange) Pair(qp rdma.QueuePair) {
 	}
 	ep.remote = remote
 	remote.remote = ep
-	fx := newEffects()
+	fx := p.effectsLocked()
 	ep.flushLocked(fx)
 	remote.flushLocked(fx)
 	p.mu.Unlock()
@@ -216,8 +217,7 @@ type Config struct {
 // Provider is a shared-memory NIC for one rank of an intra-host domain.
 type Provider struct {
 	nicbase.Base
-	ex   *Exchange
-	pool nicbase.BufPool
+	ex *Exchange
 }
 
 var _ rdma.Provider = (*Provider)(nil)
@@ -236,9 +236,6 @@ func New(cfg Config) (*Provider, error) {
 	}
 	return p, nil
 }
-
-// Pool implements Host.
-func (p *Provider) Pool() *nicbase.BufPool { return &p.pool }
 
 // Connect implements rdma.Provider. Both sides call Connect with the same
 // token; whichever arrives second completes the pairing and flushes queued

@@ -518,9 +518,9 @@ func (fr *frameReader) deliver(a arrival, virtual bool) error {
 		return q.completeRecv(wr, a)
 	}
 	if !virtual {
-		a.payload, a.pooled = q.p.pool.Get(a.length), true
+		a.payload, a.pooled = q.p.Pool().Get(a.length), true
 		if err := fr.readPayload(a.payload); err != nil {
-			q.p.pool.Put(a.payload)
+			q.p.Pool().Put(a.payload)
 			return err
 		}
 		q.p.obsStaged.Inc()
@@ -570,17 +570,14 @@ func (fr *frameReader) applyWrite(aux uint64, length int, virtual bool) error {
 	offset := int(uint32(aux))
 	var payload []byte
 	if !virtual {
-		payload = q.p.pool.Get(length)
+		payload = q.p.Pool().Get(length)
 		if err := fr.readPayload(payload); err != nil {
-			q.p.pool.Put(payload)
+			q.p.Pool().Put(payload)
 			return err
 		}
 	}
-	err := q.p.ApplyWrite(region, offset, length, payload)
-	if payload != nil {
-		q.p.pool.Put(payload)
-	}
-	return err
+	// The landing takes the buffer over and recycles it once applied.
+	return q.p.ApplyPooledWrite(region, offset, length, payload)
 }
 
 func (q *queuePair) completeRecv(wr recvWR, a arrival) error {
@@ -605,7 +602,7 @@ func (q *queuePair) completeRecv(wr recvWR, a arrival) error {
 		c.Data = wr.buf.Data[:a.length]
 	}
 	if a.pooled {
-		q.p.pool.Put(a.payload)
+		q.p.Pool().Put(a.payload)
 	}
 	q.p.Complete(c)
 	return nil

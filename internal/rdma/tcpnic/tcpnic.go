@@ -77,9 +77,8 @@ type Config struct {
 // Provider is a TCP-backed NIC.
 type Provider struct {
 	nicbase.Base
-	cfg  Config
-	pool nicbase.BufPool
-	wg   sync.WaitGroup
+	cfg Config
+	wg  sync.WaitGroup
 
 	// Receive-path copy counters, zero-copy send counter and the writer
 	// coalescing histogram; nil (the default) discards the updates. See
@@ -94,11 +93,6 @@ type Provider struct {
 	// to the queue pair that raised it, until that pair's Close (see live).
 	idle sync.Map
 }
-
-// Pool exposes the provider's buffer pool so a co-hosted shared-memory
-// exchange (see package shmnic) can stage early arrivals through the same
-// size classes.
-func (p *Provider) Pool() *nicbase.BufPool { return &p.pool }
 
 var _ rdma.Provider = (*Provider)(nil)
 var _ shmnic.Host = (*Provider)(nil)

@@ -975,6 +975,43 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestWriteRoundAllocationFree pins a warmed one-sided write round — the
+// post, the payload read off the socket, its landing in the region and the
+// watcher — at zero allocations: the landing owns the pooled buffer the
+// payload was read into and hands it back once copied into the region.
+func TestWriteRoundAllocationFree(t *testing.T) {
+	a, b, _, _ := newPair(t)
+	a.SetHandler(func(rdma.Completion) {})
+	b.SetHandler(func(rdma.Completion) {})
+	if err := b.RegisterRegion(3, make([]byte, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	watched := make(chan struct{}, 1)
+	if err := b.WatchRegion(3, func(int, int) { watched <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
+	qa, err := a.Connect(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Connect(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x3c}, 512)
+	round := func() {
+		if err := qa.PostWrite(3, 64, payload, 1); err != nil {
+			t.Fatal(err)
+		}
+		<-watched
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg > 0.5 {
+		t.Errorf("write-round allocations = %.2f per round, want 0", avg)
+	}
+}
+
 // BenchmarkSteadyStatePingPong reports the hot path's time and allocation
 // profile: one 4 KiB send, its delivery into a pre-posted buffer, and a
 // virtual ack per round.

@@ -1,6 +1,9 @@
 package schedule
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // nodePlanSizes is the equivalence grid from the planner-rework acceptance
 // criteria: every small size (closed-form edge cases live at n ≤ 17), plus
@@ -35,7 +38,8 @@ func equivalenceRanks(algo Algorithm, nodes int) []int {
 // TestNodePlanMatchesPerNode is the planner-equivalence property: for every
 // built-in algorithm and every grid cell, the rank-local fast path must
 // return exactly what splitting the global plan returns — same transfers,
-// same order, element for element.
+// same order, element for element. At k = 1 it also pins what the engine's
+// one-block path relies on: every non-root rank has exactly one source.
 func TestNodePlanMatchesPerNode(t *testing.T) {
 	for _, a := range Algorithms() {
 		gen := New(a)
@@ -48,6 +52,7 @@ func TestNodePlanMatchesPerNode(t *testing.T) {
 						t.Fatalf("%s(n=%d k=%d rank=%d): NodePlan ≠ PerNode\n got: %+v\nwant: %+v",
 							gen.Name(), n, k, r, got, want[r])
 					}
+					checkOneSource(t, gen.Name(), n, k, r, got)
 				}
 			}
 		}
@@ -69,13 +74,24 @@ func TestHybridNodePlanMatchesPerNode(t *testing.T) {
 			for _, k := range nodePlanBlocks {
 				want := gen.Plan(n, k).PerNode()
 				for r := 0; r < n; r++ {
-					if got := gen.NodePlan(n, k, r); !nodePlanEqual(got, want[r]) {
+					got := gen.NodePlan(n, k, r)
+					if !nodePlanEqual(got, want[r]) {
 						t.Fatalf("hybrid(rack=%d n=%d k=%d rank=%d): NodePlan ≠ PerNode\n got: %+v\nwant: %+v",
 							rackSize, n, k, r, got, want[r])
 					}
+					checkOneSource(t, fmt.Sprintf("hybrid(rack=%d)", rackSize), n, k, r, got)
 				}
 			}
 		}
+	}
+}
+
+// checkOneSource fails a k = 1 plan that gives non-root rank r other than
+// exactly one receive.
+func checkOneSource(t *testing.T, name string, n, k, r int, np NodePlan) {
+	t.Helper()
+	if k == 1 && r > 0 && len(np.Recvs) != 1 {
+		t.Fatalf("%s(n=%d k=1 rank=%d): %d receives, want exactly one source", name, n, r, len(np.Recvs))
 	}
 }
 
