@@ -70,9 +70,9 @@ const (
 	// for a sequence — the paper's pre-transfer one-sided write.
 	CtrlReceiverReady
 	// CtrlReadyBlock tells a specific sender that the target has posted
-	// the receive for one scheduled block transfer, or, with the reserved
-	// sequence oneBlockSeq, its standing receive for the next one-block
-	// message.
+	// Count receives for its scheduled block transfers, or, with the
+	// reserved sequence oneBlockSeq, Count standing receives for one-block
+	// messages.
 	CtrlReadyBlock
 	// CtrlFailure relays a detected failure to all survivors.
 	CtrlFailure

@@ -574,15 +574,16 @@ func TestOneBlockWaitsBehindMultiBlock(t *testing.T) {
 }
 
 // TestOneBlockCreditBound holds leaf 3 and its feeders inside a multi-block
-// message while the root sends three one-block messages. A member grants a
-// new standing receive only when an arrival becomes its active transfer, so
-// relay 1 forwards the first one-block message to the leaf and nothing more
-// until the leaf has taken it up; the root's later messages wait on the
-// relays' credit.
+// message while the root sends more one-block messages than the receive
+// window. A member keeps RecvWindow standing receives and grants more only
+// as arrivals become its active transfer, so relay 1 forwards one window of
+// one-block messages to the leaf and nothing more until the leaf takes them
+// up; the root's later messages wait on the relays' credit.
 func TestOneBlockCreditBound(t *testing.T) {
+	const window = 4 // the default RecvWindow
 	r, groups, states, sinks, msgs := oneBlockRig(t)
 	holdLeafCredit(r, 1)
-	msgs = sendAll(t, groups[0], msgs, 6<<10, 1<<10, 10, 1000)
+	msgs = sendAll(t, groups[0], msgs, 6<<10, 1<<10, 10, 1000, 1, 500, 700)
 	r.sim.Run()
 	forwards := 0
 	for _, e := range sinks[1].Ring().Snapshot() {
@@ -590,8 +591,8 @@ func TestOneBlockCreditBound(t *testing.T) {
 			forwards++
 		}
 	}
-	if forwards != 1 {
-		t.Fatalf("relay 1 posted %d one-block sends to the held leaf, want 1", forwards)
+	if forwards != window {
+		t.Fatalf("relay 1 posted %d one-block sends to the held leaf, want %d", forwards, window)
 	}
 	for i, st := range states {
 		if len(st.failures) != 0 {

@@ -94,13 +94,16 @@ type Group struct {
 
 	// The one-block path (see oneblock.go). obPlan is this member's slice
 	// of the one-block plan, nil until the first one-block message;
-	// obReady latches on the root once every target has granted; obRecv is
-	// the staging buffer of the standing receive (nil while none is
-	// posted); obSlot is an arrival waiting behind the active transfer.
+	// obReady latches on the root once every target has granted. On a
+	// receiver, obRecv holds the staging buffers of the standing receives
+	// in post order, obSlot the arrivals waiting behind the active
+	// transfer in sequence order (together at most RecvWindow), and obOwed
+	// counts the re-posts not yet granted to the source.
 	obPlan  *schedule.NodePlan
 	obReady bool
-	obRecv  []byte
-	obSlot  *transfer
+	obRecv  fifo[[]byte]
+	obSlot  fifo[*transfer]
+	obOwed  int
 
 	// Adaptive scheduling state (see adaptive.go). lastMask is the root's
 	// previous plan decision, fed back into the hysteresis; the stall/post
@@ -382,7 +385,8 @@ type DrainState struct {
 	// group wedged, or -1 if the group was idle.
 	InFlightSeq int
 	// Pending are the queued-but-unstarted messages (sends on the root;
-	// announced prepares and a landed one-block message on members).
+	// announced prepares and landed one-block messages on members, each in
+	// sequence order).
 	Pending []PendingSend
 }
 
@@ -403,7 +407,8 @@ func (g *Group) Wedge() DrainState {
 	if g.current != nil {
 		ds.InFlightSeq = g.current.seq
 	}
-	if t := g.obSlot; t != nil {
+	for i := 0; i < g.obSlot.n; i++ {
+		t := g.obSlot.at(i)
 		ds.Pending = append(ds.Pending, PendingSend{Seq: t.seq, Size: t.size})
 	}
 	for _, p := range g.pending {
@@ -418,7 +423,7 @@ func (g *Group) Wedge() DrainState {
 		g.engine.groups.Delete(g.id)
 	}
 	g.current = nil
-	g.obSlot = nil
+	g.obSlot.reset()
 	g.pending = nil
 	g.closeCb = nil
 	// Sends frozen mid-flight never complete (their completions are dropped
@@ -557,7 +562,7 @@ func (g *Group) failLocked(node rdma.NodeID, relay bool) []func() {
 	g.state = stateFailed
 	g.failure = &FailureError{Group: g.id, Node: node}
 	g.current = nil
-	g.obSlot = nil
+	g.obSlot.reset()
 	g.pending = nil
 	// A failed group's in-flight sends will never report completion to the
 	// state machine; release their throttle budget so surviving groups are
@@ -713,7 +718,7 @@ func (g *Group) maybeStartNextLocked() []func() {
 	if g.state != stateActive || g.current != nil {
 		return nil
 	}
-	if t := g.obSlot; t != nil && t.seq == g.delivered {
+	if g.obSlot.n > 0 && g.obSlot.at(0).seq == g.delivered {
 		return g.oneBlockSlotLocked()
 	}
 	if len(g.pending) == 0 {
@@ -774,8 +779,10 @@ func (g *Group) onCompletionLocked(c rdma.Completion) []func() {
 	if c.Op == rdma.OpRecv && c.WRID == oneBlockWR && c.Token&(7<<29) == oneBlockQP {
 		return g.oneBlockArrivedLocked(c)
 	}
-	if t := g.obSlot; t != nil && int(c.WRID>>32) == int(uint32(t.seq)) {
-		return t.completionLocked(c)
+	for i := 0; i < g.obSlot.n; i++ {
+		if t := g.obSlot.at(i); int(c.WRID>>32) == int(uint32(t.seq)) {
+			return t.completionLocked(c)
+		}
 	}
 	if g.current == nil {
 		return nil

@@ -7,18 +7,25 @@ import (
 )
 
 // The one-block path. A message that fits one block needs no prepare and no
-// receiver-ready barrier: as in the paper (§4.2), each member keeps a receive
+// receiver-ready barrier: as in the paper (§4.2), each member keeps receives
 // posted ahead for it, and the block announces itself when it lands — the
 // sequence rides the immediate and the size is the completion's byte count.
 // One-block messages travel on queue pairs of their own, one per edge of the
 // group's one-block plan (the generator's k = 1 plan under mask 0), so a
 // standing receive never sits in front of a multi-block message's scheduled
-// receives. Each standing receive is granted to its source as one credit on
-// the CtrlReadyBlock frame with the reserved sequence oneBlockSeq.
+// receives.
+//
+// Each receiver keeps RecvWindow standing receives per one-block edge. It
+// re-posts one each time an arrival becomes its active transfer, so posted
+// plus waiting arrivals always number RecvWindow, which bounds the arrival
+// slot. Credit goes back to the source in batches: one CtrlReadyBlock frame
+// with the reserved sequence oneBlockSeq and Count = RecvWindow, sent once
+// that many re-posts are owed. A window of 1 grants every re-post on its
+// own.
 //
 // The group's first one-block message takes the prepare path on those queue
 // pairs, which connects them, and a receiver arms when it delivers it: it
-// posts the standing receive and grants the credit. The root holds later
+// posts the whole window and grants it in one frame. The root holds later
 // one-block messages until every one of its targets has granted once, so no
 // other prepared message ever meets a standing receive; then it sends them
 // at once. Multi-block messages always take the prepare path on the main
@@ -34,11 +41,42 @@ const (
 	// credit. It survives the mesh's 32-bit sequence field, and no transfer
 	// reaches it.
 	oneBlockSeq = 1<<31 - 1
-	// oneBlockMax bounds the messages the path carries: every member keeps a
-	// staging buffer of min(BlockSize, oneBlockMax) bytes posted per group,
-	// so a megabyte block size must not cost a megabyte per member.
+	// oneBlockMax bounds the messages the path carries: every member keeps
+	// RecvWindow staging buffers of min(BlockSize, oneBlockMax) bytes posted
+	// per armed group, so a megabyte block size must not cost megabytes per
+	// member.
 	oneBlockMax = 16 << 10
 )
+
+// fifo is a queue in storage of fixed size, allocated when the one-block
+// path arms: the standing receives' staging buffers in post order, and the
+// arrivals waiting behind the active transfer in sequence order.
+type fifo[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (q *fifo[T]) push(v T) {
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+}
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return v
+}
+
+// at returns the i-th oldest entry.
+func (q *fifo[T]) at(i int) T { return q.buf[(q.head+i)%len(q.buf)] }
+
+func (q *fifo[T]) reset() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
+}
 
 // oneBlockCap is the largest message the one-block path carries.
 func (g *Group) oneBlockCap() int { return min(g.cfg.BlockSize, oneBlockMax) }
@@ -60,30 +98,45 @@ func (g *Group) oneBlockPlanLocked() schedule.NodePlan {
 	return *g.obPlan
 }
 
-// armOneBlockLocked posts a receiver's standing receive and grants its
-// source the credit.
+// armOneBlockLocked sizes a receiver's one-block storage, posts its window
+// of standing receives and grants them to the source in one frame.
 func (g *Group) armOneBlockLocked() []func() {
 	if g.rank == 0 || g.state != stateActive {
 		return nil
 	}
+	w := g.cfg.RecvWindow
+	g.obRecv.buf = make([][]byte, w)
+	g.obSlot.buf = make([]*transfer, w)
+	return g.postStandingLocked(w)
+}
+
+// postStandingLocked posts n standing receives. The source learns of them
+// once RecvWindow re-posts are owed, as one credit frame.
+func (g *Group) postStandingLocked(n int) []func() {
 	src := g.oneBlockPlanLocked().Recvs[0].From
 	qp, err := g.qpTo(src, oneBlockQP)
 	if err != nil {
 		return g.failLocked(g.members[src], true)
 	}
-	buf := g.engine.staging.Get(g.oneBlockCap())
-	if err := qp.PostRecv(rdma.MakeBuffer(buf), oneBlockWR); err != nil {
-		return g.failLocked(g.members[src], true)
+	for ; n > 0; n-- {
+		buf := g.engine.staging.Get(g.oneBlockCap())
+		g.obRecv.push(buf)
+		if err := qp.PostRecv(rdma.MakeBuffer(buf), oneBlockWR); err != nil {
+			return g.failLocked(g.members[src], true)
+		}
+		g.obOwed++
+		g.obsEvent(obs.EvRecvPosted, -1, 0, src, int64(len(buf)))
 	}
-	g.obRecv = buf
-	g.obsEvent(obs.EvRecvPosted, -1, 0, src, int64(len(buf)))
-	g.ctrlTo(src, CtrlMsg{Kind: CtrlReadyBlock, Group: g.id, Seq: oneBlockSeq, Count: 1})
+	if g.obOwed == g.cfg.RecvWindow {
+		g.ctrlTo(src, CtrlMsg{Kind: CtrlReadyBlock, Group: g.id, Seq: oneBlockSeq, Count: g.obOwed})
+		g.obOwed = 0
+	}
 	return nil
 }
 
-// oneBlockCreditLocked credits a target's standing receive and posts what the
-// credit licenses: the active one-block transfer's send, then the waiting
-// arrival's forward or, on the root, a message held for the credit.
+// oneBlockCreditLocked credits a target's standing receives and posts what
+// the credit licenses: the active one-block transfer's send, then the
+// waiting arrivals' forwards or, on the root, a message held for the credit.
 func (g *Group) oneBlockCreditLocked(rank, count int) []func() {
 	if g.obPlan == nil {
 		return nil // no one-block message has armed anything yet
@@ -110,22 +163,24 @@ func (g *Group) oneBlockCreditLocked(rank, count int) []func() {
 	return g.oneBlockSlotLocked()
 }
 
-// oneBlockArrivedLocked takes a block off the standing receive. The arrival
-// waits in the slot until it is the next message to start; the credit bound
-// (a member re-arms only when an arrival becomes active) leaves at most one
-// arrival waiting beside the active transfer.
+// oneBlockArrivedLocked takes a block off the oldest standing receive. The
+// arrival waits in the slot until it is the next message to start; the
+// credit bound (a member re-posts only when an arrival becomes active) keeps
+// posted receives plus waiting arrivals at RecvWindow, so an arrival that
+// finds no receive posted came beyond the source's credit.
 func (g *Group) oneBlockArrivedLocked(c rdma.Completion) []func() {
 	if g.rank == 0 || g.state != stateActive {
 		return nil
 	}
 	src := g.oneBlockPlanLocked().Recvs[0].From
-	seq, staging := int(c.Imm), g.obRecv
-	g.obRecv = nil
+	seq := int(c.Imm)
 	next := g.delivered
-	if g.current != nil {
+	if n := g.obSlot.n; n > 0 {
+		next = g.obSlot.at(n-1).seq + 1
+	} else if g.current != nil {
 		next++
 	}
-	if staging == nil || g.obSlot != nil || seq < next || c.Bytes <= 0 || c.Bytes > len(staging) {
+	if g.obRecv.n == 0 || seq < next || c.Bytes <= 0 || c.Bytes > g.oneBlockCap() {
 		// The source sent beyond its credit or out of order.
 		return g.failLocked(g.members[src], true)
 	}
@@ -133,7 +188,7 @@ func (g *Group) oneBlockArrivedLocked(c rdma.Completion) []func() {
 		g.seq = seq + 1
 	}
 	t := newTransfer(g, pendingMsg{seq: seq, size: int64(c.Bytes)}, true)
-	t.staging = staging
+	t.staging = g.obRecv.pop()
 	if t.stats != nil {
 		// The receive was posted before the message existed: setup is
 		// done the moment it lands.
@@ -144,38 +199,55 @@ func (g *Group) oneBlockArrivedLocked(c rdma.Completion) []func() {
 		eo.blocksRecv.Inc()
 		eo.record(g.engine.host.Now(), obs.EvRecvDone, g.id, seq, 0, src, int64(c.Bytes))
 	}
-	g.obSlot = t
+	g.obSlot.push(t)
 	return g.oneBlockSlotLocked()
 }
 
-// oneBlockSlotLocked advances the waiting arrival. Once it is the next
-// message to start, it forwards the block from staging to its targets (each
-// on that target's credit, and behind the active one-block transfer's sends
-// on the same queue pairs); once the member is idle, it becomes the active
-// transfer, re-arms the standing receive and asks the application for
-// memory.
+// oneBlockSlotLocked advances the waiting arrivals. Once the member is idle
+// and the oldest is the next message, it becomes the active transfer,
+// re-posts a standing receive and asks the application for memory.
 func (g *Group) oneBlockSlotLocked() []func() {
-	t := g.obSlot
-	if t == nil || g.state != stateActive {
+	if g.obSlot.n == 0 || g.state != stateActive {
 		return nil
 	}
-	if cur := g.current; cur != nil {
-		if t.seq != g.delivered+1 || cur.edges == oneBlockQP && cur.sendIdx < len(cur.np.Sends) {
-			return nil
-		}
-		return t.pumpSendsLocked()
+	if g.current != nil {
+		return g.forwardWaitingLocked()
 	}
+	t := g.obSlot.at(0)
 	if t.seq != g.delivered {
 		return nil
 	}
-	g.obSlot, g.current = nil, t
-	if cbs := g.armOneBlockLocked(); cbs != nil {
+	g.obSlot.pop()
+	g.current = t
+	if cbs := g.postStandingLocked(1); cbs != nil {
 		return cbs
 	}
 	if cbs := t.pumpSendsLocked(); cbs != nil {
 		return cbs
 	}
+	if cbs := g.forwardWaitingLocked(); cbs != nil {
+		return cbs
+	}
 	return t.startLocked()
+}
+
+// forwardWaitingLocked forwards waiting arrivals from staging to their
+// targets, each on that target's credit. An arrival forwards once it
+// directly follows the message ahead of it and that message's one-block
+// sends are all posted, so sends on each queue pair keep sequence order.
+func (g *Group) forwardWaitingLocked() []func() {
+	prev := g.current
+	for i := 0; i < g.obSlot.n; i++ {
+		t := g.obSlot.at(i)
+		if t.seq != prev.seq+1 || prev.edges == oneBlockQP && prev.sendIdx < len(prev.np.Sends) {
+			return nil
+		}
+		if cbs := t.pumpSendsLocked(); cbs != nil {
+			return cbs
+		}
+		prev = t
+	}
+	return nil
 }
 
 // finishOneBlockLocked completes a one-block receiver's setup once the

@@ -370,6 +370,41 @@ func TestRingPushDrainFIFO(t *testing.T) {
 			t.Fatalf("drained order %v", got)
 		}
 	}
+
+	// Storage starts small and doubles on demand: singles and a batch past
+	// the initial storage, queued behind one another with no drain between,
+	// keep their order, and the ring still holds its full capacity.
+	r = NewRing(100)
+	if c := cap(r.q); c != ringInitial {
+		t.Fatalf("initial storage %d, want %d", c, ringInitial)
+	}
+	var want []uint64
+	for i := uint64(0); i < 3; i++ {
+		r.Push(rdma.Completion{WRID: i})
+		want = append(want, i)
+	}
+	batch := make([]rdma.Completion, 3*ringInitial)
+	for i := range batch {
+		batch[i] = rdma.Completion{WRID: uint64(100 + i)}
+		want = append(want, uint64(100+i))
+	}
+	r.PushBatch(batch)
+	for i := uint64(0); len(want) < r.Capacity(); i++ {
+		r.Push(rdma.Completion{WRID: 1000 + i})
+		want = append(want, 1000+i)
+	}
+	if c := cap(r.q); c != r.Capacity() {
+		t.Fatalf("storage %d after filling the ring, want the capacity %d", c, r.Capacity())
+	}
+	out, _ := r.Drain(nil)
+	if len(out) != len(want) {
+		t.Fatalf("drained %d entries, want %d", len(out), len(want))
+	}
+	for i, c := range out {
+		if c.WRID != want[i] {
+			t.Fatalf("entry %d drained as %d, want %d", i, c.WRID, want[i])
+		}
+	}
 }
 
 func TestRingCloseUnblocksAndDrainsTail(t *testing.T) {

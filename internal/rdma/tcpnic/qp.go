@@ -20,18 +20,31 @@ const headerLen = 18
 
 const idleWRID = ^uint64(0) // the WRID of an idle queue pair's break event
 
-// The submission rings. Work requests land in fixed-capacity rings (the
-// io_uring shape: power-of-two capacity, free-running head/tail indices
-// masked on access) instead of growable queues: posting is a slot store,
-// the writer selects a whole run of queued sends per pass, and a full ring
-// exerts backpressure by blocking the poster — the transport-side analogue
-// of a NIC send queue running out of WQEs.
+// The submission rings. Work requests land in bounded rings (the io_uring
+// shape: power-of-two storage, free-running head/tail indices masked on
+// access): posting is a slot store, the writer selects a whole run of
+// queued sends per pass, and a full ring exerts backpressure by blocking the
+// poster — the transport-side analogue of a NIC send queue running out of
+// WQEs. Storage starts at ringInitial slots and doubles on demand up to the
+// capacity, so a queue pair that posts little keeps little.
 const (
 	sendRingCap = 256
-	sendMask    = sendRingCap - 1
 	recvRingCap = 256
-	recvMask    = recvRingCap - 1
+	ringInitial = 8
 )
+
+// at returns the slot of free-running index i in power-of-two ring storage.
+func at[T any](ring []T, i uint64) *T { return &ring[i&uint64(len(ring)-1)] }
+
+// grow doubles ring storage (or allocates the initial storage), re-homing
+// the queued entries [head, tail) at their indices masked by the new size.
+func grow[T any](ring []T, head, tail uint64) []T {
+	grown := make([]T, max(ringInitial, 2*len(ring)))
+	for i := head; i != tail; i++ {
+		*at(grown, i) = *at(ring, i)
+	}
+	return grown
+}
 
 // sendWR references the caller's memory zero-copy: the payload is not
 // staged, and the buffer remains owned by the provider until the send
@@ -70,9 +83,10 @@ type queuePair struct {
 
 	// Send submission ring. Slots in [sendHead, sendTail) are queued and
 	// immutable: posters fill free slots at the tail, only the writer
-	// advances the head (after its writev), so the writer may read a queued
-	// run without the lock while the writev runs.
-	sends    [sendRingCap]sendWR
+	// advances the head (after its writev), and growth copies entries into
+	// new storage, so the writer may read a queued run from the storage it
+	// saw under the lock while the writev runs without it.
+	sends    []sendWR
 	sendHead uint64
 	sendTail uint64
 
@@ -80,7 +94,7 @@ type queuePair struct {
 	// ring and arrivals are never both non-empty: a posted receive takes the
 	// oldest arrival first, and an arrival only waits while no receive is
 	// posted.
-	recvs    [recvRingCap]recvWR
+	recvs    []recvWR
 	recvHead uint64
 	recvTail uint64
 
@@ -134,7 +148,10 @@ func (q *queuePair) enqueue(wr sendWR) error {
 	if err := q.p.CheckPost(); err != nil {
 		return err
 	}
-	q.sends[q.sendTail&sendMask] = wr
+	if q.sendTail-q.sendHead == uint64(len(q.sends)) {
+		q.sends = grow(q.sends, q.sendHead, q.sendTail)
+	}
+	*at(q.sends, q.sendTail) = wr
 	q.sendTail++
 	q.cond.Broadcast()
 	return nil
@@ -171,7 +188,10 @@ func (q *queuePair) PostRecv(buf rdma.Buffer, wrID uint64) error {
 			return rdma.ErrBroken
 		}
 	}
-	q.recvs[q.recvTail&recvMask] = recvWR{buf: buf, wrID: wrID}
+	if q.recvTail-q.recvHead == uint64(len(q.recvs)) {
+		q.recvs = grow(q.recvs, q.recvHead, q.recvTail)
+	}
+	*at(q.recvs, q.recvTail) = recvWR{buf: buf, wrID: wrID}
 	q.recvTail++
 	q.mu.Unlock()
 	return nil
@@ -280,11 +300,11 @@ func (q *queuePair) writer(conn net.Conn) {
 			q.mu.Unlock()
 			return
 		}
-		head := q.sendHead
+		head, sends := q.sendHead, q.sends
 		avail := int(q.sendTail - head)
-		n, bytes := 1, q.sends[head&sendMask].length
+		n, bytes := 1, at(sends, head).length
 		for n < avail {
-			next := q.sends[(head+uint64(n))&sendMask].length
+			next := at(sends, head+uint64(n)).length
 			if bytes+next > maxCoalesceBytes {
 				break
 			}
@@ -297,7 +317,7 @@ func (q *queuePair) writer(conn net.Conn) {
 			hdrs = make([][headerLen]byte, min(max(n, 2*len(hdrs)), sendRingCap))
 		}
 		q.p.obsCoalesce.Observe(int64(n))
-		zc, err := q.writeFrames(conn, head, n, hdrs, vec)
+		zc, err := writeFrames(conn, sends, head, n, hdrs, vec)
 		if err != nil {
 			q.fail(true)
 			return
@@ -312,7 +332,7 @@ func (q *queuePair) writer(conn net.Conn) {
 		}
 		comps = comps[:0]
 		for i := 0; i < n; i++ {
-			wr := &q.sends[(head+uint64(i))&sendMask]
+			wr := at(q.sends, head+uint64(i))
 			op := rdma.OpSend
 			if wr.write {
 				op = rdma.OpWrite
@@ -342,7 +362,7 @@ func (q *queuePair) writer(conn net.Conn) {
 func (q *queuePair) clearSends() {
 	q.mu.Lock()
 	for i := q.sendHead; i != q.sendTail; i++ {
-		q.sends[i&sendMask] = sendWR{}
+		*at(q.sends, i) = sendWR{}
 	}
 	q.mu.Unlock()
 }
@@ -358,18 +378,19 @@ type writerVec struct {
 	view net.Buffers // the consumable slice WriteTo advances
 }
 
-// writeFrames emits ring entries [head, head+n) in one vectored write and
-// returns how many frames carried a zero-copy payload reference. Entries
-// stay queued in the ring while the writev runs — slots in
-// [sendHead, sendTail) are immutable once posted and the head only advances
-// after this call returns — so fail can still complete them exactly once.
+// writeFrames emits entries [head, head+n) of the send ring storage sends in
+// one vectored write and returns how many frames carried a zero-copy payload
+// reference. Entries stay queued in the ring while the writev runs — slots
+// in [sendHead, sendTail) are immutable once posted, growth leaves the old
+// storage as it was, and the head only advances after this call returns —
+// so fail can still complete them exactly once.
 // net.Buffers consumes the vector in place as segments drain, so the vector
 // is rebuilt (and its entries cleared for the garbage collector) per call.
-func (q *queuePair) writeFrames(conn net.Conn, head uint64, n int, hdrs [][headerLen]byte, vec *writerVec) (uint64, error) {
+func writeFrames(conn net.Conn, sends []sendWR, head uint64, n int, hdrs [][headerLen]byte, vec *writerVec) (uint64, error) {
 	bufs := vec.base[:0]
 	var zc uint64
 	for i := 0; i < n; i++ {
-		wr := &q.sends[(head+uint64(i))&sendMask]
+		wr := at(sends, head+uint64(i))
 		hdr := &hdrs[i]
 		kind := byte(frameData)
 		if wr.write {
@@ -539,7 +560,7 @@ func (fr *frameReader) deliver(a arrival, virtual bool) error {
 func (q *queuePair) headRecv() (wr recvWR, ok bool) {
 	q.mu.Lock()
 	if ok = q.recvHead != q.recvTail; ok {
-		wr = q.recvs[q.recvHead&recvMask]
+		wr = *at(q.recvs, q.recvHead)
 	}
 	q.mu.Unlock()
 	return wr, ok
@@ -557,8 +578,9 @@ func (q *queuePair) takeRecv(park *arrival) (recvWR, bool) {
 		}
 		return recvWR{}, false
 	}
-	wr := q.recvs[q.recvHead&recvMask]
-	q.recvs[q.recvHead&recvMask] = recvWR{}
+	slot := at(q.recvs, q.recvHead)
+	wr := *slot
+	*slot = recvWR{}
 	q.recvHead++
 	q.cond.Broadcast()
 	return wr, true
@@ -622,7 +644,7 @@ func (q *queuePair) fail(peerGone bool) {
 	conn := q.conn
 	var broken []rdma.Completion
 	for i := q.sendHead; i != q.sendTail; i++ {
-		wr := &q.sends[i&sendMask]
+		wr := at(q.sends, i)
 		op := rdma.OpSend
 		if wr.write {
 			op = rdma.OpWrite
@@ -632,11 +654,11 @@ func (q *queuePair) fail(peerGone bool) {
 		})
 	}
 	for i := q.recvHead; i != q.recvTail; i++ {
-		wr := &q.recvs[i&recvMask]
+		wr := at(q.recvs, i)
 		broken = append(broken, rdma.Completion{
 			Op: rdma.OpRecv, Status: rdma.StatusBroken, Peer: q.peer, Token: q.token, WRID: wr.wrID,
 		})
-		q.recvs[i&recvMask] = recvWR{}
+		*wr = recvWR{}
 	}
 	q.recvHead = q.recvTail
 	if len(broken) == 0 && peerGone {
@@ -657,7 +679,7 @@ func (q *queuePair) fail(peerGone bool) {
 		// No connection ⇒ no writer was ever started (attach refuses once
 		// broken), so nothing reads the send ring without the lock.
 		for i := q.sendHead; i != q.sendTail; i++ {
-			q.sends[i&sendMask] = sendWR{}
+			*at(q.sends, i) = sendWR{}
 		}
 	}
 	// Otherwise the send ring is left for the writer to clear: it may be

@@ -1092,3 +1092,83 @@ func TestIntraHostRoutingUsesSharedMemory(t *testing.T) {
 		t.Errorf("TCP writer emitted %d frames despite intra-host routing", zc)
 	}
 }
+
+// TestSendRingGrowsUnderInFlightWritev posts a send too large for the
+// socket buffers to a raw peer that reads only its first bytes, so the
+// writer sits in its writev. Sends posted meanwhile fill the ring past its
+// initial storage, which grows while the writer still reads the run from the
+// old storage. Every frame must still reach the wire whole and in order,
+// and every send must complete in order.
+func TestSendRingGrowsUnderInFlightWritev(t *testing.T) {
+	peer, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	own, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(Config{NodeID: 1, Listener: own, Addrs: map[rdma.NodeID]string{0: peer.Addr().String()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	sink := newSink()
+	a.SetHandler(sink.handle)
+	qa, err := a.Connect(0, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := peer.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	big := make([]byte, 16<<20)
+	rand.New(rand.NewSource(3)).Read(big)
+	if err := qa.PostSend(rdma.MakeBuffer(big), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	start := make([]byte, 12+headerLen+1) // handshake, the big frame's header, one payload byte
+	if _, err := io.ReadFull(conn, start); err != nil {
+		t.Fatal(err)
+	}
+	const small = 3 * ringInitial
+	for i := 1; i <= small; i++ {
+		if err := qa.PostSend(rdma.MakeBuffer(bytes.Repeat([]byte{byte(i)}, i)), uint32(i), uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := qa.(*queuePair)
+	q.mu.Lock()
+	storage := len(q.sends)
+	q.mu.Unlock()
+	if storage <= ringInitial {
+		t.Fatalf("send ring storage %d after queueing %d sends behind the writev, want it grown past %d", storage, small+1, ringInitial)
+	}
+
+	rest := make([]byte, len(big)-1)
+	if _, err := io.ReadFull(conn, rest); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(start[len(start)-1:], big[:1]) || !bytes.Equal(rest, big[1:]) {
+		t.Fatal("large frame corrupt on the wire")
+	}
+	for i := 1; i <= small; i++ {
+		frame := make([]byte, headerLen+i)
+		if _, err := io.ReadFull(conn, frame); err != nil {
+			t.Fatal(err)
+		}
+		imm, length := binary.BigEndian.Uint32(frame[2:6]), binary.BigEndian.Uint32(frame[14:18])
+		if frame[0] != frameData || imm != uint32(i) || length != uint32(i) || !bytes.Equal(frame[headerLen:], bytes.Repeat([]byte{byte(i)}, i)) {
+			t.Fatalf("frame %d on the wire: kind %d imm %d length %d", i, frame[0], imm, length)
+		}
+	}
+	for i, c := range sink.waitN(t, small+1) {
+		if c.Op != rdma.OpSend || c.Status != rdma.StatusOK || c.WRID != uint64(i) {
+			t.Fatalf("completion %d = %+v, want send %d ok", i, c, i)
+		}
+	}
+}

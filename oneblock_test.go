@@ -171,10 +171,25 @@ func TestOneBlockMixedSizes(t *testing.T) {
 }
 
 // TestOneBlockMeshFrames counts control frames over the TCP mesh. After one
-// warm-up message has armed the one-block path, a one-block message at
-// n = 4 sends no prepare and no receiver-ready: only the three credits that
-// re-arm the receivers' standing receives.
+// warm-up message has armed the one-block path, steady-state one-block
+// messages at n = 4 send no prepare and no receiver-ready: only the credits
+// that re-arm the receivers' standing receives, one frame per receiver per
+// RecvWindow messages. At the default window four messages cost three
+// frames; a window of 1 keeps three frames per message.
 func TestOneBlockMeshFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		window int
+		ready  uint64
+	}{
+		{"default window", 0, 3},
+		{"window 1", 1, 4 * 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testOneBlockMeshFrames(t, tc.window, tc.ready) })
+	}
+}
+
+func testOneBlockMeshFrames(t *testing.T, window int, wantReady uint64) {
 	ob := rdmc.NewObserver(0)
 	nodes, err := rdmc.NewLocalCluster(4, rdmc.WithObserver(ob))
 	if err != nil {
@@ -213,19 +228,20 @@ func TestOneBlockMeshFrames(t *testing.T) {
 
 	rec := newMixedRecorder()
 	var groups []*rdmc.Group
+	cfg := rdmc.GroupConfig{BlockSize: 64 << 10, RecvWindow: window}
 	for i, nd := range nodes {
-		g, err := nd.CreateGroup(1, []int{0, 1, 2, 3}, rdmc.GroupConfig{BlockSize: 64 << 10}, rec.callbacks(i))
+		g, err := nd.CreateGroup(1, []int{0, 1, 2, 3}, cfg, rec.callbacks(i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		groups = append(groups, g)
 	}
-	msgs := [][]byte{bytes.Repeat([]byte{1}, 8<<10), bytes.Repeat([]byte{2}, 8<<10)}
+	msgs := [][]byte{bytes.Repeat([]byte{1}, 8<<10)}
 
 	// The warm-up takes the prepare path: 3 prepares, 3 receiver-ready
-	// notices and 3 block credits; delivering it arms each receiver with
-	// one more credit. Once the root's mesh has taken in every credit, the
-	// path is armed.
+	// notices and 3 block credits; delivering it arms each receiver, which
+	// grants its whole window in one more credit frame. Once the root's
+	// mesh has taken in every credit, the path is armed.
 	if err := groups[0].Send(msgs[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -234,18 +250,21 @@ func TestOneBlockMeshFrames(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	before := counters()
 
-	if err := groups[0].Send(msgs[1]); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 4; i++ {
+		msgs = append(msgs, bytes.Repeat([]byte{byte(i + 2)}, 8<<10))
+		if err := groups[0].Send(msgs[i+1]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	waitFor("core.delivered", 8)
-	waitFor("mesh.tx.ready_block", before["mesh.tx.ready_block"]+3)
+	waitFor("core.delivered", 4*5)
+	waitFor("mesh.tx.ready_block", before["mesh.tx.ready_block"]+wantReady)
 	time.Sleep(20 * time.Millisecond)
 	after := counters()
 	rec.check(t, 4, msgs)
-	for kind, want := range map[string]uint64{"prepare": 0, "receiver_ready": 0, "ready_block": 3} {
+	for kind, want := range map[string]uint64{"prepare": 0, "receiver_ready": 0, "ready_block": wantReady} {
 		name := "mesh.tx." + kind
 		if got := after[name] - before[name]; got != want {
-			t.Errorf("steady-state one-block message sent %d %s frames, want %d", got, kind, want)
+			t.Errorf("4 steady-state one-block messages sent %d %s frames, want %d", got, kind, want)
 		}
 	}
 }
