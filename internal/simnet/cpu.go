@@ -72,6 +72,7 @@ type CPU struct {
 	busy          float64 // accumulated task seconds
 	injectedDelay float64 // accumulated injected delay seconds
 	lastEvent     float64 // last completion event (hybrid window tracking)
+	wakeEnd       float64 // when the latest pending wake-up ends
 }
 
 // NewCPU returns a CPU bound to the simulation clock.
@@ -102,7 +103,8 @@ func (c *CPU) Exec(cost float64, fn func()) float64 {
 }
 
 // Deliver routes a NIC completion to fn, charging the mode-dependent delivery
-// latency and the completion processing cost.
+// latency and the completion processing cost. Completions run in arrival
+// order: one that needs no wake-up still waits for an earlier one's.
 func (c *CPU) Deliver(fn func()) {
 	now := c.sim.Now()
 	wake := 0.0
@@ -116,8 +118,9 @@ func (c *CPU) Deliver(fn func()) {
 		}
 	}
 	c.lastEvent = now
-	if wake > 0 {
-		c.sim.after(wake, func() { c.Exec(c.cfg.CompletionCost, fn) })
+	if at := max(now+wake, c.wakeEnd); at > now {
+		c.wakeEnd = at
+		c.sim.schedule(at, func() { c.Exec(c.cfg.CompletionCost, fn) })
 		return
 	}
 	c.Exec(c.cfg.CompletionCost, fn)

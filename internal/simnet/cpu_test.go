@@ -128,3 +128,26 @@ func TestCompletionModeString(t *testing.T) {
 		}
 	}
 }
+
+// TestCPUHybridKeepsArrivalOrder delivers a completion into a cold hybrid
+// CPU and a second one while the first still waits for its wake-up. The
+// second needs no wake-up of its own, but must not run before the first.
+func TestCPUHybridKeepsArrivalOrder(t *testing.T) {
+	s := NewSim(1)
+	cpu := NewCPU(s, CPUConfig{
+		CompletionCost:   1e-6,
+		InterruptLatency: 10e-6,
+		PollWindow:       50e-3,
+		Mode:             ModeHybrid,
+	})
+	var order []int
+	var at []float64
+	s.At(1.0, func() { cpu.Deliver(func() { order = append(order, 1); at = append(at, s.Now()) }) })
+	s.At(1.0+2e-6, func() { cpu.Deliver(func() { order = append(order, 2); at = append(at, s.Now()) }) })
+	s.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("completions ran in order %v, want [1 2]", order)
+	}
+	approx(t, at[0]-1.0, 11e-6, 1e-12, "first pays the wake-up")
+	approx(t, at[1]-1.0, 12e-6, 1e-12, "second queues behind the first")
+}
