@@ -3,14 +3,13 @@
 // the verbs abstraction of package rdma, asynchronously, with the paper's
 // gating rules:
 //
-//   - a multi-block transfer begins only after every receiver has signalled
-//     readiness to the root (§2: "it does a one-sided write to tell the
-//     sender, which starts sending only after all are prepared"); a
-//     one-block message instead lands on a receive each member keeps posted
-//     ahead, and announces itself (oneblock.go);
 //   - each individual block send waits for a ready-for-block notice from its
 //     target, so no block is ever sent prematurely and connections never
-//     break from slow receivers (§4.2);
+//     break from slow receivers (§4.2). That credit alone starts a
+//     transfer: the root announces a multi-block message with a prepare and
+//     posts each send as its target's credit arrives, with no barrier over
+//     all receivers; a one-block message lands on a receive each member
+//     keeps posted ahead, and announces itself (oneblock.go);
 //   - sends and receives are decoupled: a node's next send is pending only
 //     on the availability of its block, the target's readiness, and FIFO
 //     order of the node's own sends (§4.3).
@@ -64,11 +63,10 @@ const (
 	// CtrlPrepare announces a new transfer (sequence and total size) from
 	// the root to every member. It plays the role of the paper's
 	// size-announcing immediate on the first block, generalized so that
-	// receivers can compute the block plan before any data moves.
+	// receivers can compute the block plan before any data moves. A
+	// prepare of one-block size instead arms the member's standing
+	// receives (oneblock.go), on which that message then lands.
 	CtrlPrepare CtrlKind = iota + 1
-	// CtrlReceiverReady tells the root a member has posted all buffers
-	// for a sequence — the paper's pre-transfer one-sided write.
-	CtrlReceiverReady
 	// CtrlReadyBlock tells a specific sender that the target has posted
 	// Count receives for its scheduled block transfers, or, with the
 	// reserved sequence oneBlockSeq, Count standing receives for one-block

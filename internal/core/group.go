@@ -93,17 +93,15 @@ type Group struct {
 	lastPlan planMemo
 
 	// The one-block path (see oneblock.go). obPlan is this member's slice
-	// of the one-block plan, nil until the first one-block message;
-	// obReady latches on the root once every target has granted. On a
+	// of the one-block plan, nil until the first one-block message. On a
 	// receiver, obRecv holds the staging buffers of the standing receives
 	// in post order, obSlot the arrivals waiting behind the active
 	// transfer in sequence order (together at most RecvWindow), and obOwed
 	// counts the re-posts not yet granted to the source.
-	obPlan  *schedule.NodePlan
-	obReady bool
-	obRecv  fifo[[]byte]
-	obSlot  fifo[*transfer]
-	obOwed  int
+	obPlan *schedule.NodePlan
+	obRecv fifo[[]byte]
+	obSlot fifo[*transfer]
+	obOwed int
 
 	// Adaptive scheduling state (see adaptive.go). lastMask is the root's
 	// previous plan decision, fed back into the hysteresis; the stall/post
@@ -592,17 +590,13 @@ func (g *Group) onCtrlLocked(from rdma.NodeID, m CtrlMsg) []func() {
 		if g.state != stateActive || g.rank == 0 || from != g.members[0] || !g.validPrepare(m) {
 			return nil
 		}
+		if m.Size <= int64(g.oneBlockCap()) {
+			// The group's first one-block message: it lands on the
+			// standing receives this prepare arms.
+			return g.armOneBlockLocked()
+		}
 		g.pending = append(g.pending, pendingMsg{seq: m.Seq, size: m.Size, mask: m.Mask, blockSize: m.BS})
 		return g.maybeStartNextLocked()
-
-	case CtrlReceiverReady:
-		if g.rank != 0 {
-			return nil
-		}
-		if g.current == nil || g.current.seq != m.Seq {
-			return nil
-		}
-		return g.current.receiverReadyLocked(g.rankOf(from))
 
 	case CtrlReadyBlock:
 		if g.state != stateActive {
@@ -709,11 +703,11 @@ func (g *Group) maybeAckCloseLocked() []func() {
 }
 
 // maybeStartNextLocked begins the next queued transfer when the group is
-// idle: on the root that means flooding CtrlPrepare, or sending at once on
-// the one-block path; on members, posting buffers and signalling readiness,
-// or taking up a one-block arrival. RDMC does not pipeline messages (§5.1),
-// so at most one transfer is active per group at a time, and members start
-// them in sequence order.
+// idle: on the root that means flooding CtrlPrepare (a one-block message
+// needs one only to arm the path) and sending what credit allows; on
+// members, posting buffers and crediting sources, or taking up a one-block
+// arrival. RDMC does not pipeline messages (§5.1), so at most one transfer
+// is active per group at a time, and members start them in sequence order.
 func (g *Group) maybeStartNextLocked() []func() {
 	if g.state != stateActive || g.current != nil {
 		return nil
@@ -731,10 +725,8 @@ func (g *Group) maybeStartNextLocked() []func() {
 		return nil
 	}
 	// A single-member root has no target to grant the one-block credit.
-	ob := g.rank == 0 && g.obPlan != nil && len(g.members) > 1 && next.size <= int64(g.oneBlockCap())
-	if ob && !g.obReady {
-		return nil // held until every target has armed
-	}
+	ob := g.rank == 0 && len(g.members) > 1 && next.size <= int64(g.oneBlockCap())
+	announce := g.rank == 0 && (!ob || g.obPlan == nil)
 	g.pending = g.pending[1:]
 	if g.rank != 0 && next.seq >= g.seq {
 		g.seq = next.seq + 1
@@ -744,6 +736,11 @@ func (g *Group) maybeStartNextLocked() []func() {
 	}
 	tr := newTransfer(g, next, ob)
 	g.current = tr
+	if announce {
+		for rank := 1; rank < len(g.members); rank++ {
+			g.ctrlTo(rank, CtrlMsg{Kind: CtrlPrepare, Group: g.id, Seq: tr.seq, Size: tr.size, Mask: tr.mask, BS: tr.bs})
+		}
+	}
 	return tr.startLocked()
 }
 

@@ -10,7 +10,6 @@ import (
 var ctrlKindNames = [...]string{
 	"invalid",
 	"prepare",
-	"receiver_ready",
 	"ready_block",
 	"failure",
 	"close",

@@ -183,16 +183,16 @@ func newParkedReceiver(t *testing.T, window int) *parkedReceiver {
 		p.msgs = append(p.msgs, bytes.Repeat([]byte{byte(seq + 1)}, 100+seq))
 	}
 
-	// Message 0 takes the prepare path on the one-block edge; delivering
-	// it arms the path with the whole window, granted in one frame.
+	// Message 0's prepare arms the path with the whole window, granted in
+	// one frame; the message itself then lands on a standing receive.
 	p.ctrl.handler(0, core.CtrlMsg{Kind: core.CtrlPrepare, Group: 1, Seq: 0, Size: 100, BS: 1 << 10})
-	p.nic.land(100, p.msgs[0])
 	if got := p.ctrl.oneBlockGrants(); len(got) != 1 || got[0] != window {
 		t.Fatalf("arming granted %v, want one frame of %d", got, window)
 	}
 	if got := p.nic.posted(); p.nic.connects != 1 || got != window {
 		t.Fatalf("armed with %d standing receives on %d queue pairs, want %d on 1", got, p.nic.connects, window)
 	}
+	p.nic.land(0, p.msgs[0])
 
 	go func() {
 		defer close(p.landed)
@@ -242,11 +242,11 @@ func testWindowSlot(t *testing.T, window int) {
 		if len(p.failures) != 0 || !slices.Equal(p.delivered, want) {
 			t.Fatalf("window %d: delivered %v, failures %v; want %v", window, p.delivered, p.failures, want)
 		}
-		// Arming granted one window; the window+1 activations since
-		// re-granted one more in a single frame, with one re-post owed.
+		// Arming granted one window; the window+2 activations since
+		// re-granted one more in a single frame, with two re-posts owed.
 		wantGrants := []int{window, window}
 		if window == 1 {
-			wantGrants = []int{1, 1, 1}
+			wantGrants = []int{1, 1, 1, 1}
 		}
 		if got := p.ctrl.oneBlockGrants(); !slices.Equal(got, wantGrants) {
 			t.Fatalf("window %d: one-block grants %v, want %v", window, got, wantGrants)

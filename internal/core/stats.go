@@ -26,7 +26,9 @@ type TransferStats struct {
 	// call, or receipt of the prepare announcement).
 	StartAt time.Duration
 	// SetupDoneAt is when local setup finished: for receivers, buffers
-	// posted and readiness signalled; for the root, all receivers ready.
+	// posted and credited to their sources (a one-block block has already
+	// landed); for the root, its first send posted, which waited for that
+	// target's credit (Table 1's "Remote Setup").
 	SetupDoneAt time.Duration
 	// Sends and Recvs record per-block completions in execution order.
 	Sends []BlockStamp
@@ -57,8 +59,8 @@ func (s *TransferStats) SendBusy() time.Duration {
 // SendWait sums the gaps between consecutive sends (previous completion to
 // next post) plus the lead-in from setup to the first post: the time the
 // node's transmit side sat idle waiting for blocks, readiness, or the CPU.
-// Every component is clamped to ≥ 0: a root may post its first send before
-// setup formally completes (the receiver-ready barrier resolves late), and a
+// Every component is clamped to ≥ 0: the root stamps its setup only once its
+// first send has posted, a clock read after that send's PostedAt, and a
 // negative lead-in would silently deflate the wait total.
 func (s *TransferStats) SendWait() time.Duration {
 	if len(s.Sends) == 0 {

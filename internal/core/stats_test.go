@@ -11,10 +11,10 @@ import (
 )
 
 // TestSendWaitClampsLeadIn is the regression test for the unclamped lead-in:
-// a root can post its first send before SetupDoneAt is stamped (the
-// receiver-ready barrier resolves in the same dispatch pass), and the
-// negative lead-in used to subtract from the genuine inter-send gaps,
-// silently deflating Table 1's send-wait row.
+// a root posts its first send before SetupDoneAt is stamped (it stamps setup
+// once that send has posted), and the negative lead-in used to subtract
+// from the genuine inter-send gaps, silently deflating Table 1's send-wait
+// row.
 func TestSendWaitClampsLeadIn(t *testing.T) {
 	s := &core.TransferStats{
 		SetupDoneAt: 100 * time.Microsecond,

@@ -18,14 +18,10 @@ type transfer struct {
 	buf     rdma.Buffer // message memory (Data nil for metadata-only)
 	staging []byte      // first-block landing buffer when carrying data
 	ob      bool        // announces itself on the one-block path (oneblock.go)
-	edges   uint64      // queue-pair kind: 0, or oneBlockQP for one-block edges
-
-	// Root-side start gate: the transfer begins only when every receiver
-	// has posted its buffers (§2's "starts sending only after all are
-	// prepared"). A one-block receiver sets started once its block has been
-	// copied into the application's memory.
-	readyReceivers map[int]bool
-	started        bool
+	// started is set once the message is in place: on the root from the
+	// outset, on a one-block receiver once its block has been copied into
+	// the application's memory.
+	started bool
 
 	// Send side: sends post in schedule order, up to SendWindow of them
 	// concurrently; completions land per work request, out of order.
@@ -62,27 +58,20 @@ func newTransfer(g *Group, pm pendingMsg, ob bool) *transfer {
 		have: make([]bool, k),
 		ob:   ob,
 	}
-	if k == 1 && pm.mask == 0 && pm.size <= int64(g.oneBlockCap()) {
+	if ob {
 		// The one-block plan has a memo of its own, so a one-block
-		// message never evicts the multi-block plan. The group's first
-		// one-block message takes the prepare path on the one-block edges
-		// and arms them; a later prepared one stays on the main edges.
-		first := g.obPlan == nil
-		t.np = g.oneBlockPlanLocked()
-		g.planObs(!first, k)
-		if ob || first {
-			t.edges = oneBlockQP
+		// message never evicts the multi-block plan.
+		if g.obPlan != nil {
+			g.planObs(true, k)
 		}
+		t.np = g.oneBlockPlanLocked()
 	} else {
 		t.np = g.nodePlan(k, pm.mask)
 	}
 	t.sendDone = make([]bool, len(t.np.Sends))
 	switch {
 	case g.rank == 0:
-		t.started = ob || len(g.members) == 1
-		if !ob {
-			t.readyReceivers = make(map[int]bool, len(g.members)-1)
-		}
+		t.started = true
 		for b := range t.have {
 			t.have[b] = true
 		}
@@ -169,28 +158,18 @@ func (t *transfer) blockBuf(b int) rdma.Buffer {
 
 func wrID(seq, idx int) uint64 { return uint64(uint32(seq))<<32 | uint64(uint32(idx)) }
 
-// startLocked begins the transfer: the root announces it to every member;
-// members allocate memory (through the Incoming callback, outside the lock),
-// post every scheduled receive, signal per-block readiness to their sources,
-// and report themselves ready to the root. A one-block transfer skips the
-// announcement: the root sends at once, and the receiver's block is already
-// in staging.
+// startLocked begins the transfer. The root, its prepares sent, posts
+// whatever sends its targets' credit already licenses; members allocate
+// memory (through the Incoming callback, outside the lock), post their
+// scheduled receives and credit their sources per block. A one-block
+// receiver's block is already in staging.
 func (t *transfer) startLocked() []func() {
 	if t.g.rank == 0 {
-		if t.stats != nil && t.started {
-			t.stats.SetupDoneAt = t.g.engine.host.Now()
-		}
-		if t.ob {
-			t.g.obsEvent(obs.EvSetupDone, t.seq, -1, -1, t.size)
-			return t.pumpSendsLocked()
-		}
-		for rank := 1; rank < len(t.g.members); rank++ {
-			t.g.ctrlTo(rank, CtrlMsg{Kind: CtrlPrepare, Group: t.g.id, Seq: t.seq, Size: t.size, Mask: t.mask, BS: t.bs})
-		}
-		if t.started { // single-member group: nothing to move
+		if len(t.g.members) == 1 { // nothing to move
+			t.setupDoneLocked()
 			return t.deliverLocked()
 		}
-		return nil
+		return t.pumpSendsLocked()
 	}
 
 	// Member path: the Incoming callback is application code, so run it
@@ -226,20 +205,25 @@ func (t *transfer) finishMemberSetupLocked(data []byte) []func() {
 		t.buf = rdma.SizeBuffer(int(t.size))
 	}
 
-	// Post the initial receive window and report readiness to the root.
-	// The first block lands in a staging buffer and is copied into place
-	// on arrival — the paper's receivers allocate on the critical path
-	// when the first block announces the size, and Table 1's "Copy Time"
-	// row accounts for exactly this copy.
+	// Post the initial receive window. The first block lands in a staging
+	// buffer and is copied into place on arrival — the paper's receivers
+	// allocate on the critical path when the first block announces the
+	// size, and Table 1's "Copy Time" row accounts for exactly this copy.
 	if cbs := t.postRecvWindowLocked(); cbs != nil {
 		return cbs
 	}
-	g.ctrlTo(0, CtrlMsg{Kind: CtrlReceiverReady, Group: g.id, Seq: t.seq})
-	if t.stats != nil {
-		t.stats.SetupDoneAt = g.engine.host.Now()
-	}
-	g.obsEvent(obs.EvSetupDone, t.seq, -1, -1, t.size)
+	t.setupDoneLocked()
 	return t.pumpSendsLocked()
+}
+
+// setupDoneLocked stamps the end of local setup: on a member, its receives
+// posted; on the root, its first send posted, which needed the first
+// target's credit.
+func (t *transfer) setupDoneLocked() {
+	if t.stats != nil {
+		t.stats.SetupDoneAt = t.g.engine.host.Now()
+	}
+	t.g.obsEvent(obs.EvSetupDone, t.seq, -1, -1, t.size)
 }
 
 // postRecvWindowLocked advances the receive window: each posted receive is
@@ -260,7 +244,7 @@ func (t *transfer) postRecvWindowLocked() []func() {
 	for t.recvPosted < len(t.np.Recvs) && t.recvPosted-t.recvDone < g.cfg.RecvWindow {
 		idx := t.recvPosted
 		tr := t.np.Recvs[idx]
-		qp, err := g.qpTo(tr.From, t.edges)
+		qp, err := g.qpTo(tr.From, 0)
 		if err != nil {
 			return g.failLocked(g.members[tr.From], true)
 		}
@@ -282,40 +266,18 @@ func (t *transfer) postRecvWindowLocked() []func() {
 	return nil
 }
 
-// receiverReadyLocked gates the root's first send on every receiver having
-// posted its buffers.
-func (t *transfer) receiverReadyLocked(rank int) []func() {
-	if rank <= 0 || t.started {
-		return nil
-	}
-	t.readyReceivers[rank] = true
-	if len(t.readyReceivers) < len(t.g.members)-1 {
-		return nil
-	}
-	t.started = true
-	if t.stats != nil {
-		t.stats.SetupDoneAt = t.g.engine.host.Now()
-	}
-	t.g.obsEvent(obs.EvSetupDone, t.seq, -1, -1, t.size)
-	return t.pumpSendsLocked()
-}
-
 // pumpSendsLocked posts sends in schedule order, up to SendWindow in flight
-// at a time, each gated on (a) the block being locally present, (b) the
-// target holding unconsumed readiness credit, and (c) the root-level start
-// barrier. Posting order never deviates from the schedule — a later send
-// whose gates are clear still waits behind an earlier send whose gates are
-// not — which preserves the per-queue-pair FIFO the receive side's window
-// accounting depends on.
+// at a time, each gated on (a) the block being locally present and (b) the
+// target holding unconsumed readiness credit. Posting order never deviates
+// from the schedule — a later send whose gates are clear still waits behind
+// an earlier send whose gates are not — which preserves the per-queue-pair
+// FIFO the receive side's window accounting depends on.
 func (t *transfer) pumpSendsLocked() []func() {
 	g := t.g
 	if g.state != stateActive {
 		return nil
 	}
 	for t.sendsInFlight < g.cfg.SendWindow && t.sendIdx < len(t.np.Sends) {
-		if g.rank == 0 && !t.started {
-			return nil
-		}
 		tr := t.np.Sends[t.sendIdx]
 		if !t.have[tr.Block] {
 			return nil
@@ -333,16 +295,16 @@ func (t *transfer) pumpSendsLocked() []func() {
 		if !g.acquireThrottleLocked(t.blockLen(tr.Block)) {
 			return nil
 		}
-		// A one-block send announces itself: its immediate is the sequence,
-		// and a relay forwards straight from staging.
-		buf, imm := t.blockBuf(tr.Block), uint32(t.size)
+		// A one-block send announces itself on its own edge: its immediate
+		// is the sequence, and a relay forwards straight from staging.
+		buf, imm, kind := t.blockBuf(tr.Block), uint32(t.size), uint64(0)
 		if t.ob {
-			imm = uint32(t.seq)
+			imm, kind = uint32(t.seq), oneBlockQP
 			if t.staging != nil {
 				buf = rdma.MakeBuffer(t.staging[:t.size])
 			}
 		}
-		qp, err := g.qpTo(tr.To, t.edges)
+		qp, err := g.qpTo(tr.To, kind)
 		if err == nil {
 			if t.stats != nil {
 				t.stats.Sends = append(t.stats.Sends, BlockStamp{Block: tr.Block, PostedAt: g.engine.host.Now()})
@@ -359,6 +321,9 @@ func (t *transfer) pumpSendsLocked() []func() {
 			return g.failLocked(g.members[tr.To], true)
 		}
 		credit[tr.To]--
+		if g.rank == 0 && t.sendIdx == 0 {
+			t.setupDoneLocked()
+		}
 		if eo := g.engine.eobs; eo != nil {
 			eo.blocksSent.Inc()
 			eo.record(g.engine.host.Now(), obs.EvSendPosted, g.id, t.seq, tr.Block, tr.To, int64(t.blockLen(tr.Block)))
@@ -527,9 +492,6 @@ func (t *transfer) deliverLocked() []func() {
 	if fn := g.cfg.Callbacks.Completion; fn != nil {
 		seq, data, size := t.seq, t.buf.Data, int(t.size)
 		cbs = append(cbs, func() { fn(seq, data, size) })
-	}
-	if !t.ob && t.edges == oneBlockQP {
-		cbs = append(cbs, g.armOneBlockLocked()...) // the first one-block message arms the path
 	}
 	cbs = append(cbs, g.maybeAckCloseLocked()...)
 	cbs = append(cbs, g.maybeStartNextLocked()...)
